@@ -8,15 +8,20 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"qav"
 	"qav/internal/chase"
 	"qav/internal/constraints"
 	"qav/internal/engine"
+	"qav/internal/plan"
 	"qav/internal/rewrite"
+	"qav/internal/server"
 	"qav/internal/structjoin"
 	"qav/internal/tpq"
+	"qav/internal/viewstore"
 	"qav/internal/workload"
 )
 
@@ -330,5 +335,64 @@ func BenchmarkMinimize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tpq.Minimize(ps[i%len(ps)])
+	}
+}
+
+// E14 (stored-view answering): the answer path over the ~190k-node
+// ClinicalTrialsDoc(50, 1800, 0.25) forests of //Trials and
+// //Trials//Trial. "exec" runs the compiled plan over the cached
+// forest index; "handler" serves POST /v1/answer in stored-view mode,
+// adding the cached rewrite, the JSON encoding of every answer and
+// the HTTP plumbing.
+func BenchmarkStoredAnswer(b *testing.B) {
+	ctx := context.Background()
+	d, err := workload.ClinicalTrialsDoc(ctx, rand.New(rand.NewSource(2006)), 50, 1800, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(engine.Config{CacheSize: 64})
+	views := map[string]*viewstore.Materialized{}
+	for name, expr := range map[string]string{"trial": "//Trials//Trial", "trials": "//Trials"} {
+		views[name] = viewstore.Materialize(tpq.MustParse(expr), d)
+		eng.RegisterView(name, views[name])
+	}
+	h := server.NewWith(eng)
+	for _, c := range []struct{ query, view string }{
+		{"//Trials//Trial/Status", "trial"},
+		{"//Trials//Trial[Status]/Patient", "trial"},
+		{"//Trials[Trial/Patient]", "trials"},
+	} {
+		m := views[c.view]
+		res, err := rewrite.MCR(tpq.MustParse(c.query), m.Expr, rewrite.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := plan.Compile(ctx, rewrite.Compensations(res.CRs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := m.ForestIndex(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("exec/"+c.query, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.Exec(ctx, f, plan.ExecOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		body := `{"query":"` + c.query + `","viewName":"` + c.view + `"}`
+		b.Run("handler/"+c.query, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/answer", strings.NewReader(body)))
+				if rec.Code != 200 {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+		})
 	}
 }

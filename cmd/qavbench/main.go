@@ -517,9 +517,9 @@ func expCache(ctx context.Context, eng *engine.Engine, seed int64) {
 }
 
 // E14 (answer plans): end-to-end answering over a ~10^6-node corpus —
-// per-CR naive evaluation vs the compiled plan under each forced
-// backend and the auto heuristic. The plan is compiled once and the
-// forest indexed once (both timed); exec is timed per backend.
+// per-CR naive evaluation vs the compiled plan under each backend
+// (auto is structjoin). The plan is compiled once and the forest
+// indexed once (both timed); exec is timed per backend.
 func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 	w := table("E14 answer plans: compiled plan vs naive per-CR evaluation",
 		"method", "answers", "t(index)", "t(exec)", "speedup")
@@ -556,7 +556,7 @@ func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 			panic(err)
 		}
 	})
-	for _, be := range []plan.Backend{plan.StructJoin, plan.TreeDP, plan.Stream, plan.Auto} {
+	for _, be := range []plan.Backend{plan.StructJoin, plan.TreeDP, plan.Stream} {
 		var r *plan.ExecResult
 		tExec := timeIt(3, func() {
 			if r, err = pl.Exec(ctx, f, plan.ExecOptions{Backend: be}); err != nil {

@@ -211,8 +211,9 @@ func cmdAnswer(ctx context.Context, eng *engine.Engine, args []string) error {
 	}
 	fmt.Printf("materialized view: %d nodes\n", len(ans.ViewNodes))
 	printPlan(ans.Plan, ans.Exec)
-	fmt.Printf("answers via view (%d):\n", len(ans.Answers))
-	for _, n := range ans.Answers {
+	answers := ans.Answers()
+	fmt.Printf("answers via view (%d):\n", len(answers))
+	for _, n := range answers {
 		printAnswer(n)
 	}
 	fmt.Printf("direct evaluation of the query finds %d answers\n", len(ans.Direct))
@@ -453,8 +454,9 @@ func cmdMediate(ctx context.Context, eng *engine.Engine, args []string) error {
 	}
 	fmt.Println("rewriting:", sa.Result.Union)
 	printPlan(sa.Plan, sa.Exec)
-	fmt.Printf("answers (%d):\n", len(sa.Answers))
-	for _, n := range sa.Answers {
+	answers := sa.Answers()
+	fmt.Printf("answers (%d):\n", len(answers))
+	for _, n := range answers {
 		printAnswer(n)
 	}
 	return nil

@@ -314,7 +314,7 @@ type Request struct {
 	// the raw pipeline, and by callers that will mutate the result).
 	NoCache bool
 	// PlanBackend forces the answer-plan execution backend for this
-	// request; the zero value (plan.Auto) selects per program.
+	// request; the zero value (plan.Auto) runs the structural joins.
 	PlanBackend plan.Backend
 }
 
@@ -543,13 +543,17 @@ func (e *Engine) RewriteBatch(ctx context.Context, reqs []RewriteRequest) []Batc
 type Answer struct {
 	Result    *rewrite.Result
 	ViewNodes []*xmltree.Node
-	Answers   []*xmltree.Node
 	Direct    []*xmltree.Node
 	// Plan is the compiled (cached) answer plan the request executed.
 	Plan *plan.Plan
-	// Exec carries the execution detail (per-program backends).
+	// Exec carries the answers, as positions into the indexed view
+	// windows, and the per-program backends.
 	Exec *plan.ExecResult
 }
+
+// Answers returns the answer nodes in document order, resolved from
+// Exec on each call.
+func (a *Answer) Answers() []*xmltree.Node { return a.Exec.Nodes() }
 
 // planFor returns the compiled answer plan for the CR set, from the
 // plan cache: plans are pure functions of the canonical CR union, so
@@ -657,7 +661,6 @@ func (e *Engine) AnswerDoc(ctx context.Context, req Request, d *xmltree.Document
 	return &Answer{
 		Result:    res,
 		ViewNodes: viewNodes,
-		Answers:   exec.Nodes(),
 		Direct:    req.Query.Evaluate(d),
 		Plan:      pl,
 		Exec:      exec,
@@ -820,15 +823,18 @@ func (e *Engine) RewriteAllViews(ctx context.Context, q *tpq.Pattern, topK int) 
 }
 
 // StoredAnswer is the outcome of answering through a registered stored
-// view: the rewriting, the answers (nodes of the stored trees, in
-// (tree, preorder) order), and the plan execution detail.
+// view: the rewriting, the forest size, and the plan execution, whose
+// positions index the view's cached forest.
 type StoredAnswer struct {
-	Result  *rewrite.Result
-	Answers []*xmltree.Node
-	Trees   int
-	Plan    *plan.Plan
-	Exec    *plan.ExecResult
+	Result *rewrite.Result
+	Trees  int
+	Plan   *plan.Plan
+	Exec   *plan.ExecResult
 }
+
+// Answers returns the answer nodes (nodes of the stored trees, in
+// (tree, preorder) order), resolved from Exec on each call.
+func (sa *StoredAnswer) Answers() []*xmltree.Node { return sa.Exec.Nodes() }
 
 // AnswerStoredView answers q using only the named stored view: the MCR
 // of q using the view's expression is computed (cached), its
@@ -858,11 +864,10 @@ func (e *Engine) AnswerStoredView(ctx context.Context, q *tpq.Pattern, viewName 
 		return nil, err
 	}
 	return &StoredAnswer{
-		Result:  res,
-		Answers: exec.Nodes(),
-		Trees:   len(m.Forest),
-		Plan:    pl,
-		Exec:    exec,
+		Result: res,
+		Trees:  len(m.Forest),
+		Plan:   pl,
+		Exec:   exec,
 	}, nil
 }
 
@@ -873,7 +878,7 @@ func (e *Engine) AnswerStored(ctx context.Context, q *tpq.Pattern, viewName stri
 	if err != nil {
 		return nil, nil, err
 	}
-	return sa.Result, sa.Answers, nil
+	return sa.Result, sa.Answers(), nil
 }
 
 // AnswerStoredExpr parses the query and answers it through the named

@@ -96,8 +96,8 @@ func TestAnswerExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Answers) != 1 || ans.Answers[0].Text != "John" {
-		t.Errorf("answers = %v", ans.Answers)
+	if len(ans.Answers()) != 1 || ans.Answers()[0].Text != "John" {
+		t.Errorf("answers = %v", ans.Answers())
 	}
 	if len(ans.ViewNodes) != 2 || len(ans.Direct) != 2 {
 		t.Errorf("viewNodes = %d, direct = %d", len(ans.ViewNodes), len(ans.Direct))
@@ -375,8 +375,8 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 					ans, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "//a/b", View: "//a", Document: doc})
 					if err != nil {
 						t.Error(err)
-					} else if len(ans.Answers) != 1 {
-						t.Errorf("answers = %d", len(ans.Answers))
+					} else if len(ans.Answers()) != 1 {
+						t.Errorf("answers = %d", len(ans.Answers()))
 					}
 				}
 				e.Stats()
@@ -493,8 +493,9 @@ func TestAnswerStoredView(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend %v: %v", be, err)
 		}
-		if len(sa.Answers) != 2 || sa.Answers[0].Text != "Ann" || sa.Answers[1].Text != "Bob" {
-			t.Fatalf("backend %v: answers = %v", be, sa.Answers)
+		answers := sa.Answers()
+		if len(answers) != 2 || answers[0].Text != "Ann" || answers[1].Text != "Bob" {
+			t.Fatalf("backend %v: answers = %v", be, answers)
 		}
 		if sa.Trees != 2 || sa.Plan == nil || sa.Exec == nil {
 			t.Fatalf("backend %v: trees=%d plan=%v exec=%v", be, sa.Trees, sa.Plan, sa.Exec)

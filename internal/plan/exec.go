@@ -3,8 +3,9 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"qav/internal/fault"
@@ -24,20 +25,18 @@ var faultExec = fault.Register(names.FaultPlanExec)
 type Backend int
 
 const (
-	// Auto picks per program and forest: structural joins when the
-	// candidate lists are selective, the per-tree dynamic program
-	// otherwise, and the streaming evaluator when the DP's bitmaps
-	// would not fit the resident budget.
+	// Auto runs every program with the structural-join kernel; the
+	// zero value, and what requests that name no backend get.
 	Auto Backend = iota
-	// StructJoin joins the forest's inverted tag lists bottom-up, then
-	// walks the distinguished path top-down — work proportional to the
-	// candidate lists, not the forest.
+	// StructJoin joins the forest's sorted posting lists bottom-up,
+	// then walks the distinguished path top-down — integer work
+	// proportional to the candidate lists, not the forest.
 	StructJoin
 	// TreeDP runs the compiled tpq dynamic program per tree — work
-	// |E| × |forest| with small constants.
+	// |E| × |forest|. Kept as a differential oracle.
 	TreeDP
-	// Stream replays each tree through the SAX evaluator — the
-	// bounded-memory fallback, O(depth · |E|) resident per tree.
+	// Stream replays each tree through the SAX evaluator — O(depth ·
+	// |E|) resident per tree. Kept as a differential oracle.
 	Stream
 )
 
@@ -61,48 +60,44 @@ func ParseBackend(s string) (Backend, error) {
 	return Auto, fmt.Errorf("plan: unknown backend %q", s)
 }
 
-// dpCellBudget bounds the |E| × |tree| boolean matrices of the TreeDP
-// backend; beyond it Auto degrades to the streaming evaluator, whose
-// residency is O(depth · |E|) regardless of tree size.
-const dpCellBudget = 1 << 26
-
 // ExecOptions tune one plan execution.
 type ExecOptions struct {
-	// Backend forces one backend for every program; Auto selects per
-	// program using the forest's statistics.
+	// Backend forces one backend for every program; Auto means
+	// StructJoin.
 	Backend Backend
 	// Parallel bounds the number of programs executing concurrently;
 	// <= 0 means GOMAXPROCS.
 	Parallel int
 }
 
-// Match is one answer: the node and the forest tree it was found in.
-// For a shared-document forest the same node can match under several
-// windows; Exec reports it once, under the first window in tree order.
-type Match struct {
-	Tree int
-	Node *xmltree.Node
-}
-
 // ExecResult is the outcome of one plan execution.
 type ExecResult struct {
-	// Matches holds the deduplicated answer union in document order:
-	// global preorder for a shared-document forest, (tree, preorder)
-	// for a shipped forest.
-	Matches []Match
+	// Positions holds the deduplicated answer union as forest
+	// positions in document order: global preorder for a
+	// shared-document forest, (tree, preorder) for a shipped forest.
+	// A node that matches under several windows of a shared forest is
+	// reported once, at its position in the first such window.
+	Positions []int32
 	// Backends records the backend each program ran with, parallel to
 	// the plan's programs.
 	Backends []Backend
+
+	forest *Forest
 }
 
-// Nodes flattens the matches to their nodes, preserving order.
+// Forest returns the forest the positions index into.
+func (r *ExecResult) Forest() *Forest { return r.forest }
+
+// Nodes resolves the answer positions to their nodes, preserving
+// order. It allocates per answer; the serving path reads the forest
+// columns instead.
 func (r *ExecResult) Nodes() []*xmltree.Node {
-	if r == nil || len(r.Matches) == 0 {
+	if r == nil || len(r.Positions) == 0 {
 		return nil
 	}
-	out := make([]*xmltree.Node, len(r.Matches))
-	for i, m := range r.Matches {
-		out[i] = m.Node
+	out := make([]*xmltree.Node, len(r.Positions))
+	for i, p := range r.Positions {
+		out[i] = r.forest.Node(p)
 	}
 	return out
 }
@@ -123,37 +118,54 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	backends := make([]Backend, len(p.programs))
-	for i, pr := range p.programs {
-		backends[i] = chooseBackend(pr, f, opts.Backend)
+	backend := opts.Backend
+	if backend == Auto {
+		backend = StructJoin
 	}
-	per := make([][]Match, len(p.programs))
+	backends := make([]Backend, len(p.programs))
+	for i := range backends {
+		backends[i] = backend
+	}
+	per := make([][]int32, len(p.programs))
 	errs := make([]error, len(p.programs))
+	// Answers may live in kernel scratch until the union copies them
+	// out, so kernels go back to the forest only after it.
 	if par := parallelism(opts.Parallel, len(p.programs)); par <= 1 {
+		// Serial programs share one kernel: its arena keeps every
+		// program's answers apart.
+		k := f.getKernel()
+		defer f.putKernel(k)
 		for i, pr := range p.programs {
-			per[i], errs[i] = runProgram(ctx, pr, f, backends[i])
+			per[i], errs[i] = runProgram(ctx, pr, k, backend)
 			if errs[i] != nil {
 				break
 			}
 		}
 	} else {
+		kernels := make([]*kernel, len(p.programs))
+		defer func() {
+			for _, k := range kernels {
+				f.putKernel(k)
+			}
+		}()
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, par)
 		for i, pr := range p.programs {
 			if err := ctx.Err(); err != nil {
 				break
 			}
+			kernels[i] = f.getKernel()
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i int, pr *program) {
+			go func(i int, pr *program, k *kernel, b Backend) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				// A panic in a worker must become this program's error,
 				// never a process crash: indices are disjoint, so the
 				// write needs no lock.
 				defer guard.Rescue("plan.exec", func(err error) { errs[i] = err })
-				per[i], errs[i] = runProgram(ctx, pr, f, backends[i])
-			}(i, pr)
+				per[i], errs[i] = runProgram(ctx, pr, k, b)
+			}(i, pr, kernels[i], backend)
 		}
 		wg.Wait()
 	}
@@ -165,7 +177,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &ExecResult{Matches: mergeMatches(f, per), Backends: backends}, nil
+	return &ExecResult{Positions: f.union(per), Backends: backends, forest: f}, nil
 }
 
 func parallelism(requested, programs int) int {
@@ -179,60 +191,40 @@ func parallelism(requested, programs int) int {
 	return par
 }
 
-// chooseBackend implements the selection heuristic (see the DESIGN.md
-// "Answer plans" section): structural joins when the candidate lists
-// are selective — their total length below |E|·|F|/8 — since join work
-// is proportional to the lists; otherwise the per-tree DP, whose
-// |E|·|F| scan has better constants on dense tags; and the streaming
-// evaluator when the DP's per-tree bitmaps would exceed dpCellBudget.
-func chooseBackend(pr *program, f *Forest, forced Backend) Backend {
-	if forced != Auto {
-		return forced
-	}
-	sum := 0
-	for _, o := range pr.ops {
-		sum += f.cardinalityFor(o.tag)
-	}
-	if sum*8 <= len(pr.ops)*f.size {
-		return StructJoin
-	}
-	if len(pr.ops)*f.maxTree > dpCellBudget {
-		return Stream
-	}
-	return TreeDP
-}
-
-func runProgram(ctx context.Context, pr *program, f *Forest, b Backend) ([]Match, error) {
+// runProgram evaluates one program and returns its answers as
+// ascending forest positions, possibly in k's scratch.
+func runProgram(ctx context.Context, pr *program, k *kernel, b Backend) ([]int32, error) {
 	switch b {
 	case TreeDP:
-		return runTreeDP(ctx, pr, f)
+		return runTreeDP(ctx, pr, k.f)
 	case Stream:
-		return runStream(ctx, pr, f)
+		return runStream(ctx, pr, k.f)
 	default:
-		return joinForest(ctx, pr, f, true)
+		return k.join(ctx, pr, true)
 	}
 }
 
 // runTreeDP evaluates the program by pinning the compiled pattern to
 // each tree root in turn — the naive per-tree strategy, compiled once.
-func runTreeDP(ctx context.Context, pr *program, f *Forest) ([]Match, error) {
-	var out []Match
+func runTreeDP(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
+	var out []int32
 	for ti, t := range f.trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		base := f.start[ti] - int32(t.Root.Index)
 		for _, n := range pr.prep.EvaluateAt(t.Doc, t.Root) {
-			out = append(out, Match{Tree: ti, Node: n})
+			out = append(out, base+int32(n.Index))
 		}
 	}
 	return out, nil
 }
 
 // runStream replays each tree through the SAX evaluator. The answers
-// come back as preorder positions within the walked subtree, which map
-// straight onto the tree's window.
-func runStream(ctx context.Context, pr *program, f *Forest) ([]Match, error) {
-	var out []Match
+// come back as preorder positions within the walked subtree, which
+// offset straight onto the tree's run of forest positions.
+func runStream(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
+	var out []int32
 	for ti, t := range f.trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -241,38 +233,119 @@ func runStream(ctx context.Context, pr *program, f *Forest) ([]Match, error) {
 		if err != nil {
 			return nil, err
 		}
-		window := t.Doc.Window(t.Root)
 		for _, a := range answers {
-			out = append(out, Match{Tree: ti, Node: window[a.Index]})
+			out = append(out, f.start[ti]+int32(a.Index))
 		}
 	}
 	return out, nil
 }
 
-// joinForest is the structural-join backend: bottom-up semi-joins over
-// the inverted lists compute, per pattern node, the forest items whose
-// subtree embeds the pattern subtree; a top-down pass along the
-// distinguished path then selects the output items. pinRoot restricts
-// the root candidates to the tree roots (the compensation pinning); the
-// general entry point (EvaluateIndexed) passes the pattern's own root
-// axis semantics instead.
-func joinForest(ctx context.Context, pr *program, f *Forest, pinRoot bool) ([]Match, error) {
-	lists := make([][]item, len(pr.ops))
+// kernel is the structural-join kernel with its scratch: a bitset over
+// forest positions for the parent/child joins (clear between joins),
+// the per-operator lists, and an arena the lists are carved from.
+// Kernels are recycled through the forest, so a warm execution
+// allocates no scratch at all.
+type kernel struct {
+	f     *Forest
+	marks []uint64
+	lists [][]int32
+	arena []int32
+	// want is the scratch this execution has asked for so far.
+	want int
+}
+
+func (f *Forest) getKernel() *kernel {
+	f.kmu.Lock()
+	defer f.kmu.Unlock()
+	if n := len(f.kernels); n > 0 {
+		k := f.kernels[n-1]
+		f.kernels = f.kernels[:n-1]
+		return k
+	}
+	return &kernel{f: f, marks: make([]uint64, (len(f.tree)+63)/64)}
+}
+
+// putKernel hands k back for reuse; nil is ignored. Lists carved from
+// the arena must no longer be in use. The bitset is cleared again in
+// case a panic interrupted a join.
+func (f *Forest) putKernel(k *kernel) {
+	if k == nil {
+		return
+	}
+	clear(k.marks)
+	clear(k.lists)
+	if k.want > cap(k.arena) {
+		k.arena = make([]int32, 0, k.want)
+	}
+	k.arena, k.want = k.arena[:0], 0
+	f.kmu.Lock()
+	defer f.kmu.Unlock()
+	if len(f.kernels) < runtime.GOMAXPROCS(0) {
+		f.kernels = append(f.kernels, k)
+	}
+}
+
+// take carves an empty list of capacity n from the arena. A list the
+// arena cannot hold is allocated on its own, and the release grows
+// the arena to this execution's total, so a warm kernel never
+// allocates.
+func (k *kernel) take(n int) []int32 {
+	k.want += n
+	used := len(k.arena)
+	if used+n > cap(k.arena) {
+		return make([]int32, 0, n)
+	}
+	k.arena = k.arena[:used+n]
+	return k.arena[used : used : used+n]
+}
+
+// candidates returns the candidate positions of a pattern-node tag:
+// the forest's posting or root list, or for the Wildcard tag every
+// tree root (pinned) or the full position range.
+func (k *kernel) candidates(tag string, pinned bool) []int32 {
+	if tag != tpq.Wildcard {
+		return k.f.candidates(tag, pinned)
+	}
+	if pinned {
+		return k.f.start
+	}
+	all := k.take(len(k.f.tree))
+	for i := range k.f.tree {
+		all = append(all, int32(i))
+	}
+	return all
+}
+
+// join runs one program: bottom-up semi-joins over the posting lists
+// compute, per pattern node, the positions whose subtree embeds the
+// pattern subtree; a top-down pass along the distinguished path then
+// selects the output positions. pinRoot restricts the root candidates
+// to the tree roots (the compensation pinning); the general entry
+// point (EvaluateIndexed) passes the pattern's own root axis semantics
+// instead. Every list is ascending. The result may alias the forest or
+// the kernel's scratch.
+func (k *kernel) join(ctx context.Context, pr *program, pinRoot bool) ([]int32, error) {
+	if cap(k.lists) < len(pr.ops) {
+		k.lists = make([][]int32, len(pr.ops))
+	}
+	lists := k.lists[:len(pr.ops)]
 	for i := len(pr.ops) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var cand []item
-		if i == 0 && pinRoot {
-			cand = f.rootItems(pr.ops[0].tag)
-		} else {
-			cand = f.itemsFor(pr.ops[i].tag)
-		}
+		cand := k.candidates(pr.ops[i].tag, i == 0 && pinRoot)
+		// The first join copies its survivors into scratch; later joins
+		// filter that list in place.
+		var dst []int32
 		for _, c := range pr.ops[i].children {
 			if len(cand) == 0 {
 				break
 			}
-			cand = semiJoinItems(cand, lists[c], pr.ops[c].axis)
+			if dst == nil {
+				dst = k.take(len(cand))
+			}
+			cand = k.semiJoin(dst[:0], cand, lists[c], pr.ops[c].axis)
+			dst = cand
 		}
 		lists[i] = cand
 	}
@@ -281,13 +354,9 @@ func joinForest(ctx context.Context, pr *program, f *Forest, pinRoot bool) ([]Ma
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cur = downJoinItems(cur, lists[pos], pr.ops[pos].axis)
+		cur = k.downJoin(cur, lists[pos], pr.ops[pos].axis)
 	}
-	out := make([]Match, 0, len(cur))
-	for _, it := range cur {
-		out = append(out, Match{Tree: int(it.tree), Node: it.node})
-	}
-	return out, nil
+	return cur, nil
 }
 
 // EvaluateIndexed evaluates a general (not root-pinned) pattern over
@@ -302,173 +371,158 @@ func EvaluateIndexed(ctx context.Context, f *Forest, p *tpq.Pattern) ([]*xmltree
 		return nil, err
 	}
 	pr := lower("", tpq.SubtreePattern(p.Root, p.Root.Axis, p.Output))
-	var matches []Match
-	var err error
-	if pr.ops[0].axis == tpq.Child {
-		matches, err = joinForest(ctx, pr, f, true)
-	} else {
-		matches, err = joinForest(ctx, pr, f, false)
-	}
+	k := f.getKernel()
+	defer f.putKernel(k)
+	ps, err := k.join(ctx, pr, pr.ops[0].axis == tpq.Child)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Matches: mergeMatches(f, [][]Match{matches})}
+	res := &ExecResult{Positions: f.union([][]int32{ps}), forest: f}
 	return res.Nodes(), nil
 }
 
-// semiJoinItems keeps the items ∈ upper that have a same-tree witness
-// in lower via the given axis. Both lists are in packed-key order;
-// output preserves order.
-func semiJoinItems(upper, lower []item, axis tpq.Axis) []item {
+func setBit(marks []uint64, p int32) { marks[p>>6] |= 1 << (p & 63) }
+
+func hasBit(marks []uint64, p int32) bool { return marks[p>>6]&(1<<(p&63)) != 0 }
+
+// semiJoin appends to dst the positions of upper that have a witness
+// in lower via the axis: a child (Child) or a proper descendant
+// (Descendant). Witnesses never cross trees: a tree root has no
+// parent, and (u, end[u]] stays inside u's window. dst may alias upper.
+func (k *kernel) semiJoin(dst, upper, lower []int32, axis tpq.Axis) []int32 {
 	if len(lower) == 0 {
-		return nil
+		return dst
 	}
-	var out []item
 	switch axis {
 	case tpq.Child:
-		// Witness iff some lower item's parent is the upper item:
-		// binary-search the sorted packed keys of the parents. A lower
-		// node whose parent lies outside its window packs to a key
-		// below the window, which no upper item carries.
-		parents := parentKeys(lower)
-		for _, it := range upper {
-			if containsKey(parents, it.key()) {
-				out = append(out, it)
+		// Mark the parents of lower; keep the marked uppers.
+		marks, parent := k.marks, k.f.parent
+		for _, l := range lower {
+			if q := parent[l]; q >= 0 {
+				setBit(marks, q)
 			}
 		}
+		for _, u := range upper {
+			if hasBit(marks, u) {
+				dst = append(dst, u)
+			}
+		}
+		clear(marks)
 	case tpq.Descendant:
-		// Witness iff some same-tree lower item lies inside
-		// (Index, end]: binary search the first lower item after it.
-		for _, it := range upper {
-			j := sort.Search(len(lower), func(i int) bool {
-				return lower[i].key() > it.key()
-			})
-			if j < len(lower) && lower[j].tree == it.tree && it.node.IsAncestorOf(lower[j].node) {
-				out = append(out, it)
+		// Merge: the first lower past u witnesses u iff it lies within
+		// u's subtree. upper ascends, so the cursor only moves forward.
+		end := k.f.end
+		j := 0
+		for _, u := range upper {
+			for j < len(lower) && lower[j] <= u {
+				j++
+			}
+			if j == len(lower) {
+				break
+			}
+			if lower[j] <= end[u] {
+				dst = append(dst, u)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// downJoinItems keeps the items ∈ lower that have a same-tree parent
-// (Child) or ancestor (Descendant) in upper. Both lists are in
-// packed-key order.
-func downJoinItems(upper, lower []item, axis tpq.Axis) []item {
+// downJoin returns the positions of lower that have a parent (Child) or
+// a proper ancestor (Descendant) in upper, in a list from scratch.
+func (k *kernel) downJoin(upper, lower []int32, axis tpq.Axis) []int32 {
 	if len(upper) == 0 || len(lower) == 0 {
 		return nil
 	}
-	var out []item
+	out := k.take(len(lower))
 	switch axis {
 	case tpq.Child:
-		ups := make([]uint64, len(upper))
-		for i, it := range upper {
-			ups[i] = it.key()
+		marks, parent := k.marks, k.f.parent
+		for _, u := range upper {
+			setBit(marks, u)
 		}
-		for _, m := range lower {
-			if m.node.Parent != nil && containsKey(ups, packKey(m.tree, m.node.Parent.Index)) {
-				out = append(out, m)
+		for _, l := range lower {
+			if q := parent[l]; q >= 0 && hasBit(marks, q) {
+				out = append(out, l)
 			}
 		}
+		clear(marks)
 	case tpq.Descendant:
-		// Merge the upper intervals (Index, end] into disjoint covered
-		// key ranges. Intervals of one tree nest or are disjoint, so
-		// they collapse; ranges are never merged across trees, the
-		// tree id in the high bits notwithstanding.
-		type span struct{ lo, hi uint64 }
-		spans := make([]span, 0, len(upper))
-		for _, it := range upper { // already key-sorted
-			end := it.node.SubtreeEnd()
-			if end <= it.node.Index {
-				continue
+		// Merge: cover is the furthest subtree end among the uppers
+		// before l. Subtrees nest or are disjoint, so l has an ancestor
+		// in upper iff cover reaches it.
+		end := k.f.end
+		i, cover := 0, int32(-1)
+		for _, l := range lower {
+			for i < len(upper) && upper[i] < l {
+				cover = max(cover, end[upper[i]])
+				i++
 			}
-			s := span{packKey(it.tree, it.node.Index+1), packKey(it.tree, end)}
-			if len(spans) > 0 {
-				prev := &spans[len(spans)-1]
-				if s.lo>>32 == prev.hi>>32 && s.lo <= prev.hi+1 {
-					if s.hi > prev.hi {
-						prev.hi = s.hi
-					}
-					continue
-				}
-			}
-			spans = append(spans, s)
-		}
-		for _, m := range lower {
-			k := m.key()
-			j := sort.Search(len(spans), func(i int) bool {
-				return spans[i].hi >= k
-			})
-			if j < len(spans) && spans[j].lo <= k {
-				out = append(out, m)
+			if l <= cover {
+				out = append(out, l)
 			}
 		}
 	}
 	return out
 }
 
-// parentKeys returns the sorted distinct packed keys of the items'
-// parents (within the same tree).
-func parentKeys(items []item) []uint64 {
-	out := make([]uint64, 0, len(items))
-	for _, it := range items {
-		if it.node.Parent != nil {
-			out = append(out, packKey(it.tree, it.node.Parent.Index))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// containsKey reports membership in a sorted key slice.
-func containsKey(sorted []uint64, k uint64) bool {
-	i := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= k })
-	return i < len(sorted) && sorted[i] == k
-}
-
-// mergeMatches unions the per-program matches with document-order
-// dedup: global preorder for a shared-document forest (where one node
-// may match under several windows and across programs), (tree,
-// preorder) order for a shipped forest.
-func mergeMatches(f *Forest, per [][]Match) []Match {
+// union merges the programs' ascending answer lists with dedup into
+// answer order. For an ordered forest that is a k-way merge of the
+// positions; otherwise (nested or unordered windows of a shared
+// document) the positions are ordered by document node, then window,
+// and each node is kept once, at its first window.
+func (f *Forest) union(per [][]int32) []int32 {
 	total := 0
-	for _, ms := range per {
-		total += len(ms)
+	for _, ps := range per {
+		total += len(ps)
 	}
 	if total == 0 {
 		return nil
 	}
-	all := make([]Match, 0, total)
-	for _, ms := range per {
-		all = append(all, ms...)
+	if !f.ordered {
+		return f.unionByDocument(per, total)
 	}
-	if f.shared {
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Node.Index != all[j].Node.Index {
-				return all[i].Node.Index < all[j].Node.Index
+	out := make([]int32, 0, total)
+	if len(per) == 1 {
+		return append(out, per[0]...)
+	}
+	heads := make([]int, len(per))
+	for range total {
+		next := int32(math.MaxInt32)
+		for i, ps := range per {
+			if h := heads[i]; h < len(ps) && ps[h] < next {
+				next = ps[h]
 			}
-			return all[i].Tree < all[j].Tree
-		})
-	} else {
-		sort.Slice(all, func(i, j int) bool {
-			ki := packKey(int32(all[i].Tree), all[i].Node.Index)
-			kj := packKey(int32(all[j].Tree), all[j].Node.Index)
-			return ki < kj
-		})
+		}
+		if next == math.MaxInt32 {
+			break
+		}
+		out = append(out, next)
+		for i, ps := range per {
+			if h := heads[i]; h < len(ps) && ps[h] == next {
+				heads[i]++
+			}
+		}
 	}
-	seen := make(map[*xmltree.Node]bool, len(all))
-	out := all[:0]
-	for _, m := range all {
-		if !seen[m.Node] {
-			seen[m.Node] = true
-			out = append(out, m)
+	return out
+}
+
+func (f *Forest) unionByDocument(per [][]int32, total int) []int32 {
+	keys := make([]uint64, 0, total)
+	for _, ps := range per {
+		for _, p := range ps {
+			t := f.tree[p]
+			node := f.trees[t].Root.Index + int(p-f.start[t])
+			keys = append(keys, uint64(node)<<32|uint64(p))
+		}
+	}
+	slices.Sort(keys)
+	out := make([]int32, 0, total)
+	last := uint64(math.MaxUint64)
+	for _, key := range keys {
+		if key>>32 != last {
+			last = key >> 32
+			out = append(out, int32(uint32(key)))
 		}
 	}
 	return out

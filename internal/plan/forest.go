@@ -3,10 +3,10 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"qav/internal/obs"
-	"qav/internal/tpq"
 	"qav/internal/xmltree"
 )
 
@@ -20,52 +20,58 @@ type Tree struct {
 	Root *xmltree.Node
 }
 
-// item is one occurrence of a tag in the forest. Items are kept in
-// (tree, preorder) order; the packed key makes that order — and the
-// parent/ancestor membership tests of the structural joins — a single
-// uint64 comparison.
-type item struct {
-	tree int32
-	node *xmltree.Node
-}
-
-// key packs (tree, preorder index) into one comparable word. Interval
-// labels are only meaningful within a tree, and the tree id in the high
-// bits keeps every join from ever matching across trees.
-func (it item) key() uint64 { return packKey(it.tree, it.node.Index) }
-
-func packKey(tree int32, index int) uint64 {
-	return uint64(uint32(tree))<<32 | uint64(uint32(index))
-}
-
-// Forest is the execution-side index of a materialized view forest:
-// inverted tag lists over every tree, in global (tree, preorder) order,
+// Forest is the execution-side index of a materialized view forest,
 // built once per forest and immutable afterwards. Programs compiled by
 // Compile execute against it; see Plan.Exec.
+//
+// The index is a set of pointer-free int32 columns over global forest
+// positions: every tree's window occupies a contiguous run of
+// positions in (tree, preorder) order, so a node's proper descendants
+// are exactly the positions (pos, end[pos]] and every structural join
+// is integer work on sorted position lists. Nodes of a shared document
+// that fall in several (nested) view windows get one position per
+// window, so joins confined to one window always see its full
+// contents.
 type Forest struct {
 	trees []Tree
-	// byTag lists every occurrence of a tag across the forest in
-	// (tree, preorder) order. Nodes of a shared document that fall in
-	// several (nested) view windows appear once per window, so joins
-	// confined to one tree always see the full window contents.
-	byTag map[string][]item
-	// roots lists the tree roots in tree order — the candidates
-	// compensation roots are pinned to.
-	roots []item
+	// start[t] is the position of tree t's root; ascending, and the
+	// root candidates of a wildcard-rooted program.
+	start []int32
+
+	// Per-position columns.
+	tree   []int32 // the owning tree
+	parent []int32 // the in-window parent; -1 for a tree root
+	end    []int32 // the last position of the node's subtree
+	path   []int32 // index into paths
+
+	// paths is the table of distinct root-to-node tag paths, rendered
+	// as Node.Path renders them ("/a/b"). Paths run from the document
+	// root, so a window of a shared document carries its ancestors'
+	// tags.
+	paths []string
+
+	// tagIDs numbers the distinct tags; postings[id] lists the tag's
+	// positions ascending and roots[id] the tree roots carrying it.
+	tagIDs   map[string]int32
+	postings [][]int32
+	roots    [][]int32
+
 	// shared marks forests whose trees are windows of one document;
 	// answers are then returned in global document order rather than
 	// (tree, preorder) order.
 	shared bool
-	// size is the total number of indexed items; maxTree the largest
-	// single tree. Both feed the backend-selection heuristic.
-	size    int
-	maxTree int
+	// ordered reports that position order is answer order and that no
+	// document node has two positions: always for a shipped forest,
+	// and for a shared one whose windows are disjoint and ascending.
+	// Otherwise the answer union sorts and deduplicates by document
+	// node (see Forest.union).
+	ordered bool
 
-	// all is the lazy concatenation of every indexed item in (tree,
-	// preorder) order — the candidate list of Wildcard pattern nodes,
-	// built only when a wildcard program actually joins.
-	allOnce sync.Once
-	all     []item
+	kmu sync.Mutex
+	// kernels holds idle join scratch (see kernel) for the next
+	// executions; at most GOMAXPROCS are kept.
+	// guarded by kmu
+	kernels []*kernel
 }
 
 // Trees returns the number of trees in the forest.
@@ -73,17 +79,30 @@ func (f *Forest) Trees() int { return len(f.trees) }
 
 // Size returns the total number of indexed nodes (counting a shared
 // node once per window containing it).
-func (f *Forest) Size() int { return f.size }
+func (f *Forest) Size() int { return len(f.tree) }
 
 // Cardinality returns the number of occurrences of tag in the forest.
-func (f *Forest) Cardinality(tag string) int { return len(f.byTag[tag]) }
-
-// Tree returns the i-th tree.
-func (f *Forest) Tree(i int) Tree { return f.trees[i] }
+func (f *Forest) Cardinality(tag string) int {
+	if id, ok := f.tagIDs[tag]; ok {
+		return len(f.postings[id])
+	}
+	return 0
+}
 
 // Shared reports whether the forest's trees are windows of one shared
 // document (see IndexSubtrees).
 func (f *Forest) Shared() bool { return f.shared }
+
+// Node returns the document node at a forest position.
+func (f *Forest) Node(pos int32) *xmltree.Node {
+	t := f.tree[pos]
+	tr := f.trees[t]
+	return tr.Doc.Window(tr.Root)[pos-f.start[t]]
+}
+
+// Path returns the root-to-node tag path of the node at a forest
+// position — Node(pos).Path(), read from the path table.
+func (f *Forest) Path(pos int32) string { return f.paths[f.path[pos]] }
 
 // IndexForest indexes a shipped forest of standalone trees — the
 // viewstore.Materialized layout, where each view answer is its own
@@ -131,67 +150,153 @@ func indexTrees(ctx context.Context, trees []Tree, shared bool) (*Forest, error)
 	sp := obs.SpanFrom(ctx)
 	start := sp.Start()
 	defer sp.Observe(obs.StagePlanIndex, start)
-	if len(trees) > 1<<31-1 {
-		return nil, fmt.Errorf("plan: forest of %d trees exceeds the tree-id space", len(trees))
+	total := 0
+	for _, t := range trees {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		total += len(t.Doc.Window(t.Root))
 	}
-	f := &Forest{trees: trees, byTag: make(map[string][]item), shared: shared}
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("plan: forest of %d nodes exceeds the position space", total)
+	}
+	f := &Forest{
+		trees:   trees,
+		start:   make([]int32, len(trees)),
+		tree:    make([]int32, total),
+		parent:  make([]int32, total),
+		end:     make([]int32, total),
+		path:    make([]int32, total),
+		tagIDs:  make(map[string]int32),
+		shared:  shared,
+		ordered: true,
+	}
+	ix := indexer{f: f, tag: make([]int32, total), pathIDs: make(map[uint64]int32)}
+	pos, prevEnd := int32(0), -1
 	for ti, t := range trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		window := t.Doc.Window(t.Root)
-		for _, n := range window {
-			f.byTag[n.Tag] = append(f.byTag[n.Tag], item{tree: int32(ti), node: n})
+		base := t.Root.Index
+		if shared && base <= prevEnd {
+			f.ordered = false
 		}
-		f.roots = append(f.roots, item{tree: int32(ti), node: t.Root})
-		f.size += len(window)
-		if len(window) > f.maxTree {
-			f.maxTree = len(window)
+		prevEnd = t.Root.SubtreeEnd()
+		f.start[ti] = pos
+		for k, n := range window {
+			p := pos + int32(k)
+			id := ix.tagID(n.Tag)
+			ix.tag[p] = id
+			ix.count[id]++
+			f.tree[p] = int32(ti)
+			f.end[p] = pos + int32(n.SubtreeEnd()-base)
+			if k == 0 {
+				f.parent[p] = -1
+				f.path[p] = ix.intern(ix.rootParentPath(n), id)
+			} else {
+				f.parent[p] = pos + int32(n.Parent.Index-base)
+				f.path[p] = ix.intern(f.path[f.parent[p]], id)
+			}
 		}
+		pos += int32(len(window))
+	}
+	f.postings = carve(ix.count, total)
+	for p, id := range ix.tag {
+		f.postings[id] = append(f.postings[id], int32(p))
+	}
+	rootCount := make([]int32, len(ix.count))
+	for _, s := range f.start {
+		rootCount[ix.tag[s]]++
+	}
+	f.roots = carve(rootCount, len(f.start))
+	for _, s := range f.start {
+		f.roots[ix.tag[s]] = append(f.roots[ix.tag[s]], s)
 	}
 	return f, nil
 }
 
-// rootItems returns the tree roots whose tag matches the compensation
-// root — the pinning candidates of a program. Tree order is preserved,
-// which is (tree, preorder) order since every root is its tree's first
-// node. A Wildcard root matches every tree.
-func (f *Forest) rootItems(tag string) []item {
-	if tag == tpq.Wildcard {
-		return f.roots
-	}
-	var out []item
-	for _, r := range f.roots {
-		if r.node.Tag == tag {
-			out = append(out, r)
-		}
+// carve splits one backing array of size total into empty lists with
+// the given capacities, so filling the lists by append allocates
+// nothing more and no list can grow into its neighbour.
+func carve(counts []int32, total int) [][]int32 {
+	backing := make([]int32, total)
+	out := make([][]int32, len(counts))
+	off := 0
+	for id, c := range counts {
+		out[id] = backing[off : off : off+int(c)]
+		off += int(c)
 	}
 	return out
 }
 
-// itemsFor returns the candidate list of a pattern-node tag: the
-// inverted list, or every indexed item for the Wildcard tag.
-func (f *Forest) itemsFor(tag string) []item {
-	if tag != tpq.Wildcard {
-		return f.byTag[tag]
-	}
-	f.allOnce.Do(func() {
-		out := make([]item, 0, f.size)
-		for ti, t := range f.trees {
-			for _, n := range t.Doc.Window(t.Root) {
-				out = append(out, item{tree: int32(ti), node: n})
-			}
-		}
-		f.all = out
-	})
-	return f.all
+// indexer is the build-time state of indexTrees: the per-position tag
+// ids and per-tag counts that size the posting lists, and the path
+// table's intern map keyed by (parent path id, tag id).
+type indexer struct {
+	f       *Forest
+	tag     []int32
+	count   []int32
+	tagName []string
+	pathIDs map[uint64]int32
 }
 
-// cardinalityFor is itemsFor's counting companion for the backend
-// heuristic: it avoids building the wildcard list just to size it.
-func (f *Forest) cardinalityFor(tag string) int {
-	if tag == tpq.Wildcard {
-		return f.size
+// tagID numbers a tag, registering it on first sight. Tags seen only
+// above the windows of a shared document get an id with an empty
+// posting list.
+func (ix *indexer) tagID(tag string) int32 {
+	id, ok := ix.f.tagIDs[tag]
+	if !ok {
+		id = int32(len(ix.count))
+		ix.f.tagIDs[tag] = id
+		ix.count = append(ix.count, 0)
+		ix.tagName = append(ix.tagName, tag)
 	}
-	return len(f.byTag[tag])
+	return id
+}
+
+// intern returns the id of the path parent/tag; parent -1 is the empty
+// path above a document root.
+func (ix *indexer) intern(parent, tagID int32) int32 {
+	k := uint64(uint32(parent+1))<<32 | uint64(uint32(tagID))
+	if id, ok := ix.pathIDs[k]; ok {
+		return id
+	}
+	s := "/" + ix.tagName[tagID]
+	if parent >= 0 {
+		s = ix.f.paths[parent] + s
+	}
+	id := int32(len(ix.f.paths))
+	ix.f.paths = append(ix.f.paths, s)
+	ix.pathIDs[k] = id
+	return id
+}
+
+// rootParentPath returns the path id of a tree root's parent: -1 for
+// a standalone tree, the document path above the window otherwise.
+func (ix *indexer) rootParentPath(root *xmltree.Node) int32 {
+	var above []*xmltree.Node
+	for a := root.Parent; a != nil; a = a.Parent {
+		above = append(above, a)
+	}
+	parent := int32(-1)
+	for i := len(above) - 1; i >= 0; i-- {
+		parent = ix.intern(parent, ix.tagID(above[i].Tag))
+	}
+	return parent
+}
+
+// candidates returns the candidate positions of a concrete pattern-node
+// tag: its posting list, or only the tree roots carrying it when
+// pinned. Callers must not modify the returned list.
+func (f *Forest) candidates(tag string, pinned bool) []int32 {
+	id, ok := f.tagIDs[tag]
+	switch {
+	case !ok:
+		return nil
+	case pinned:
+		return f.roots[id]
+	default:
+		return f.postings[id]
+	}
 }

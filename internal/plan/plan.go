@@ -15,13 +15,15 @@
 //     deduplicated by canonical form, and lowered to a structural-join
 //     program over preorder positions. Plans are pure functions of the
 //     CR union, so the engine caches them by Key.
-//   - index: the view forest is indexed once into inverted tag lists
-//     with (pre, end) interval labels (see Forest) — shared by every
-//     program and every request against the same materialization.
-//   - exec: the programs run against the index (structural joins by
-//     default, the per-tree dynamic program or the streaming evaluator
-//     when the heuristic prefers them) and their answers are unioned
-//     with document-order dedup.
+//   - index: the view forest is indexed once into pointer-free int32
+//     columns over global positions — (pos, end] interval labels,
+//     in-window parents, a path table — plus sorted per-tag posting
+//     lists (see Forest), shared by every program and every request
+//     against the same materialization.
+//   - exec: the programs run against the index with one structural-join
+//     kernel over positions (the per-tree dynamic program and the
+//     streaming evaluator stay selectable as differential oracles),
+//     and their answers are unioned with document-order dedup.
 //
 // The package deliberately depends only on tpq, xmltree and the
 // streaming evaluator: rewrite, viewstore and engine all sit above it.

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"qav/internal/tpq"
@@ -35,8 +37,8 @@ func TestCompileEmptyPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) != 0 || res.Nodes() != nil {
-		t.Fatalf("empty plan produced answers: %v", res.Matches)
+	if len(res.Positions) != 0 || res.Nodes() != nil {
+		t.Fatalf("empty plan produced answers: %v", res.Positions)
 	}
 }
 
@@ -120,8 +122,9 @@ func TestForestStats(t *testing.T) {
 	if f.Size() != 5 || f.Cardinality("b") != 2 || f.Cardinality("a") != 2 {
 		t.Fatalf("Size=%d card(b)=%d card(a)=%d", f.Size(), f.Cardinality("b"), f.Cardinality("a"))
 	}
-	if f.maxTree != 3 {
-		t.Fatalf("maxTree = %d, want 3", f.maxTree)
+	// Positions run tree by tree in preorder: a b b | a c.
+	if f.Path(2) != "/a/b" || f.Path(4) != "/a/c" || f.Node(4) != forest[1].Root.Children[0] {
+		t.Fatalf("Path(2)=%q Path(4)=%q Node(4)=%v", f.Path(2), f.Path(4), f.Node(4))
 	}
 }
 
@@ -271,4 +274,105 @@ func TestKeySeparatorUnambiguous(t *testing.T) {
 	if !strings.Contains(k, "\x00") {
 		t.Fatalf("expected NUL-joined key, got %q", k)
 	}
+}
+
+// TestExecAllocsIndependentOfForest: the join kernel allocates per
+// program and operator, never per tree or match. On shipped forests
+// of 1k and 16k single-Trial trees a warm Exec makes the same number
+// of allocations, and few of them.
+func TestExecAllocsIndependentOfForest(t *testing.T) {
+	ctx := context.Background()
+	pl, err := Compile(ctx, []*tpq.Pattern{
+		tpq.MustParse("/Trial[Status]/Patient"),
+		tpq.MustParse("/Trial/Status"),
+		tpq.MustParse("/Trial//Patient"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(trees int) (float64, int) {
+		forest := make([]*xmltree.Document, trees)
+		for i := range forest {
+			trial := xmltree.Build("Trial", xmltree.Build("Patient"))
+			if i%4 == 0 {
+				trial = xmltree.Build("Trial", xmltree.Build("Patient"), xmltree.Build("Status"))
+			}
+			forest[i] = xmltree.NewDocument(trial)
+		}
+		f, err := IndexForest(ctx, forest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var answers int
+		n := testing.AllocsPerRun(20, func() {
+			res, err := pl.Exec(ctx, f, ExecOptions{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers = len(res.Positions)
+		})
+		return n, answers
+	}
+	small, smallAnswers := allocs(1000)
+	large, largeAnswers := allocs(16000)
+	if smallAnswers != 1000+250 || largeAnswers != 16000+4000 {
+		t.Fatalf("answers = %d and %d, want 1250 and 20000", smallAnswers, largeAnswers)
+	}
+	if small != large {
+		t.Fatalf("Exec allocations grow with the forest: %v on 1k trees, %v on 16k", small, large)
+	}
+	if large > 8 {
+		t.Fatalf("Exec makes %v allocations, want at most 8", large)
+	}
+	t.Logf("%v allocations per Exec", large)
+}
+
+// TestExecConcurrentKernelReuse runs many executions of different
+// plans against one forest at once, so recycled kernels pass between
+// goroutines and programs; every result must equal its serial answer.
+func TestExecConcurrentKernelReuse(t *testing.T) {
+	ctx := context.Background()
+	d := mustDoc(t, "<r><a><b><c/></b><c/></a><a><b/></a><a><c><b/></c></a></r>")
+	f, err := IndexSubtrees(ctx, d, tpq.MustParse("//a").Evaluate(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []*Plan
+	var want [][]int32
+	for _, exprs := range [][]string{{"/a/b"}, {"/a//c", "/a[b]/c"}, {"/a/*"}, {"/a[c]//b", "/a/b/c", "/a//*"}} {
+		var comps []*tpq.Pattern
+		for _, e := range exprs {
+			comps = append(comps, tpq.MustParse(e))
+		}
+		pl, err := Compile(ctx, comps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Exec(ctx, f, ExecOptions{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+		want = append(want, res.Positions)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				j := (g + i) % len(plans)
+				res, err := plans[j].Exec(ctx, f, ExecOptions{Parallel: 1 + i%3})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(res.Positions, want[j]) {
+					t.Errorf("plan %d: positions %v, want %v", j, res.Positions, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

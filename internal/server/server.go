@@ -17,10 +17,12 @@
 // /v1/answer runs the compiled answer-plan pipeline (see
 // internal/plan): the MCR's compensations are compiled once per
 // canonical CR union (cached), the view forest is indexed, and the
-// plan executes with a per-program backend (structural join, per-tree
-// DP, or streaming — "auto" picks by forest statistics). In
-// stored-view mode the document never travels: the query is answered
-// from the forest a source shipped to POST /v1/views.
+// plan executes with the structural-join kernel ("auto"), or with the
+// per-tree DP or streaming evaluator when the request's backend field
+// names them. The answers array is written straight from the forest's
+// columns (see writeAnswer). In stored-view mode the document never
+// travels: the query is answered from the forest a source shipped to
+// POST /v1/views.
 //
 // The handlers are thin JSON adapters over internal/engine: one shared
 // Engine carries the rewrite cache (singleflight-deduplicated), the
@@ -52,7 +54,6 @@ import (
 	"qav/internal/limits"
 	"qav/internal/names"
 	"qav/internal/obs"
-	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/tpq"
 	"qav/internal/viewstore"
@@ -358,46 +359,8 @@ type answerRequest struct {
 	// Document and Schema must be absent.
 	ViewName string `json:"viewName,omitempty"`
 	// Backend forces the plan execution backend ("structjoin", "treedp",
-	// "stream"); empty or "auto" selects per program.
+	// "stream"); empty or "auto" means structjoin.
 	Backend string `json:"backend,omitempty"`
-}
-
-type answerJSON struct {
-	Path string `json:"path"`
-	Text string `json:"text,omitempty"`
-}
-
-// planJSON summarizes the compiled answer plan a request executed: how
-// many compensation programs it unions and which backend ran each.
-type planJSON struct {
-	Programs int      `json:"programs"`
-	Backends []string `json:"backends,omitempty"`
-}
-
-type answerResponse struct {
-	Union      string       `json:"union"`
-	ViewNodes  int          `json:"viewNodes,omitempty"`
-	ViewTrees  int          `json:"viewTrees,omitempty"`
-	Answers    []answerJSON `json:"answers"`
-	DirectSize int          `json:"directAnswerCount,omitempty"`
-	Plan       *planJSON    `json:"plan,omitempty"`
-	// Partial mirrors rewriteResponse: the answers were produced by a
-	// sound but possibly non-maximal rewriting.
-	Partial       bool   `json:"partial,omitempty"`
-	PartialReason string `json:"partialReason,omitempty"`
-}
-
-func buildPlanJSON(pl *plan.Plan, exec *plan.ExecResult) *planJSON {
-	if pl == nil {
-		return nil
-	}
-	pj := &planJSON{Programs: pl.Programs()}
-	if exec != nil {
-		for _, b := range exec.Backends {
-			pj.Backends = append(pj.Backends, b.String())
-		}
-	}
-	return pj
 }
 
 func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -417,17 +380,13 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 			httpError(w, statusFor(err), err)
 			return
 		}
-		resp := answerResponse{
+		writeAnswer(w, &answerResponse{
 			Union:         sa.Result.Union.String(),
 			ViewTrees:     sa.Trees,
 			Partial:       sa.Result.Partial,
 			PartialReason: string(sa.Result.PartialReason),
 			Plan:          buildPlanJSON(sa.Plan, sa.Exec),
-		}
-		for _, n := range sa.Answers {
-			resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
-		}
-		writeJSON(w, resp)
+		}, execAnswers{sa.Exec})
 		return
 	}
 	ans, err := s.eng.AnswerExpr(r.Context(), engine.AnswerRequest{
@@ -438,18 +397,14 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	resp := answerResponse{
+	writeAnswer(w, &answerResponse{
 		Union:         ans.Result.Union.String(),
 		ViewNodes:     len(ans.ViewNodes),
 		DirectSize:    len(ans.Direct),
 		Partial:       ans.Result.Partial,
 		PartialReason: string(ans.Result.PartialReason),
 		Plan:          buildPlanJSON(ans.Plan, ans.Exec),
-	}
-	for _, n := range ans.Answers {
-		resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
-	}
-	writeJSON(w, resp)
+	}, execAnswers{ans.Exec})
 }
 
 type registerViewRequest struct {
