@@ -19,7 +19,6 @@ import (
 	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/server"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/viewstore"
 	"qav/internal/workload"
@@ -264,7 +263,7 @@ func BenchmarkEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := structjoin.Build(d)
+	ix := qav.BuildIndex(d)
 	for _, expr := range []string{"//Trials[//Status]//Trial/Patient", "//Status"} {
 		q := tpq.MustParse(expr)
 		b.Run("treedp/"+expr, func(b *testing.B) {

@@ -51,7 +51,12 @@ func coldstartRun(ctx context.Context, seed int64) ([]kernelResult, coldstartSum
 		i := 0
 		return func() {
 			r := reqs[i%len(reqs)]
-			if _, err := e.RewriteExpr(ctx, engine.RewriteRequest{Query: r[0], View: r[1]}); err != nil {
+			// Each request parses at the edge, as qavd's handler does.
+			pats, _, err := e.Parse("", engine.Field{Name: "query", Text: r[0]}, engine.Field{Name: "view", Text: r[1]})
+			if err != nil {
+				panic(err)
+			}
+			if _, err := e.Rewrite(ctx, engine.Request{Query: pats[0], View: pats[1]}); err != nil {
 				panic(err)
 			}
 			i++

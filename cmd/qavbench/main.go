@@ -30,7 +30,6 @@ import (
 	"qav/internal/engine"
 	"qav/internal/plan"
 	"qav/internal/rewrite"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/viewselect"
 	"qav/internal/workload"
@@ -411,8 +410,12 @@ func expEngines(ctx context.Context, eng *engine.Engine, seed int64) {
 		if err != nil {
 			panic(err)
 		}
-		var ix *structjoin.Index
-		tBuild := timeIt(3, func() { ix = structjoin.Build(d) })
+		var ix *plan.Forest
+		tBuild := timeIt(3, func() {
+			if ix, err = plan.IndexDocument(ctx, d); err != nil {
+				panic(err)
+			}
+		})
 		for _, expr := range []string{
 			"//Trials[//Status]//Trial/Patient", // selective predicate
 			"//Trials//Trial",                   // unselective
@@ -517,9 +520,9 @@ func expCache(ctx context.Context, eng *engine.Engine, seed int64) {
 }
 
 // E14 (answer plans): end-to-end answering over a ~10^6-node corpus —
-// per-CR naive evaluation vs the compiled plan under each backend
-// (auto is structjoin). The plan is compiled once and the forest
-// indexed once (both timed); exec is timed per backend.
+// per-CR naive evaluation vs the compiled plan's structural-join
+// kernel. The plan is compiled once and the forest indexed once (both
+// timed); exec is timed on its own.
 func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 	w := table("E14 answer plans: compiled plan vs naive per-CR evaluation",
 		"method", "answers", "t(index)", "t(exec)", "speedup")
@@ -556,18 +559,16 @@ func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 			panic(err)
 		}
 	})
-	for _, be := range []plan.Backend{plan.StructJoin, plan.TreeDP, plan.Stream} {
-		var r *plan.ExecResult
-		tExec := timeIt(3, func() {
-			if r, err = pl.Exec(ctx, f, plan.ExecOptions{Backend: be}); err != nil {
-				panic(err)
-			}
-		})
-		if len(r.Nodes()) != len(naive) {
-			panic(fmt.Sprintf("backend %s: %d answers, naive %d", be, len(r.Nodes()), len(naive)))
+	var r *plan.ExecResult
+	tExec := timeIt(3, func() {
+		if r, err = pl.Exec(ctx, f, plan.ExecOptions{}); err != nil {
+			panic(err)
 		}
-		fmt.Fprintf(w, "plan/%s\t%d\t%v\t%v\t%.2fx\n",
-			be, len(r.Nodes()), tIndex, tExec, float64(tNaive)/float64(tExec))
+	})
+	if len(r.Positions) != len(naive) {
+		panic(fmt.Sprintf("plan: %d answers, naive %d", len(r.Positions), len(naive)))
 	}
+	fmt.Fprintf(w, "plan\t%d\t%v\t%v\t%.2fx\n",
+		len(r.Positions), tIndex, tExec, float64(tNaive)/float64(tExec))
 	w.Flush()
 }

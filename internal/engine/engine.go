@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,12 +53,13 @@ var faultCompute = fault.Register(names.FaultEngineCompute)
 // no contained rewriting using the view.
 var ErrNotAnswerable = errors.New("engine: query is not answerable using the view")
 
-// ErrUnknownView is returned by AnswerStored for an unregistered view.
+// ErrUnknownView is returned by AnswerStoredView for an unregistered
+// view.
 var ErrUnknownView = errors.New("engine: no stored view with that name")
 
 // An InvalidRequestError reports an unparsable request input. Field
-// names the offending input: "query", "view", "schema", "document",
-// "p", or "q".
+// names the JSON field it arrived in: "query", "view", "schema",
+// "document", "name", "p", or "q".
 type InvalidRequestError struct {
 	Field string
 	Err   error
@@ -101,11 +101,6 @@ type Config struct {
 	// singleflight followers bypass the gate — they do not add compute
 	// load. nil means unlimited admission.
 	Gate *limits.Gate
-	// TopKViews, when positive, caps every multi-view rewriting
-	// (RewriteAllViews) to the K candidate views the catalog's signature
-	// index ranks tightest for the query — a recall/latency dial for
-	// very large catalogs. 0 considers every view.
-	TopKViews int
 	// CacheDir, when non-empty, enables the persistent second cache
 	// tier: completed rewritings are appended asynchronously to a
 	// checksummed segment file under this directory and replayed at
@@ -313,9 +308,6 @@ type Request struct {
 	// NoCache bypasses the rewrite cache (used by benchmarks measuring
 	// the raw pipeline, and by callers that will mutate the result).
 	NoCache bool
-	// PlanBackend forces the answer-plan execution backend for this
-	// request; the zero value (plan.Auto) runs the structural joins.
-	PlanBackend plan.Backend
 }
 
 func (r Request) options(e *Engine, ctx context.Context) rewrite.Options {
@@ -429,47 +421,46 @@ func (e *Engine) observeRewrite(req Request, recursive bool, sp *obs.Span, d tim
 	e.slow.Record(entry)
 }
 
-// RewriteRequest is a rewriting request in textual form, as received by
-// the HTTP API and the CLI.
-type RewriteRequest struct {
-	Query     string
-	View      string
-	Schema    string // optional schema DSL text
-	Recursive bool
+// A Field is one pattern text of a request, named by the JSON field it
+// arrived in.
+type Field struct {
+	Name string
+	Text string
 }
 
-// RewriteExpr parses the request's expressions and rewrites.
-func (e *Engine) RewriteExpr(ctx context.Context, req RewriteRequest) (*rewrite.Result, error) {
-	parsed, err := e.parseRewriteRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	return e.Rewrite(ctx, parsed)
-}
-
-// parseRewriteRequest parses a textual request through the interner:
-// repeated expression text skips the parse entirely, and canonically
-// identical patterns collapse onto one shared instance — so two
-// spellings of the same query produce the same cache key and join the
-// same singleflight before any parse-downstream work runs.
-func (e *Engine) parseRewriteRequest(req RewriteRequest) (Request, error) {
+// Parse is the engine's one parse step for request text: every edge
+// that receives patterns as text (the HTTP handlers, the benchmarks)
+// parses through it. Each field's pattern, and the schema text when
+// non-empty, parse through the interner: repeated text skips the parse
+// entirely, and canonically identical patterns collapse onto one shared
+// instance — so two spellings of the same query produce the same cache
+// key and join the same singleflight before any parse-downstream work
+// runs. The patterns come back in field order. Parse records one parse
+// stage and reports the first failure as an *InvalidRequestError naming
+// the field ("schema" for the schema text).
+//
+// A view being registered is parsed plainly instead (see RegisterView):
+// its expression keeps the spelling the client sent and never becomes
+// another view's canonical twin.
+func (e *Engine) Parse(schemaText string, fields ...Field) ([]*tpq.Pattern, *schema.Graph, error) {
 	start := time.Now()
 	defer func() { e.metrics.ObserveStage(obs.StageParse, time.Since(start)) }()
-	q, err := e.intern.pattern(req.Query)
-	if err != nil {
-		return Request{}, &InvalidRequestError{Field: "query", Err: err}
-	}
-	v, err := e.intern.pattern(req.View)
-	if err != nil {
-		return Request{}, &InvalidRequestError{Field: "view", Err: err}
-	}
-	var g *schema.Graph
-	if req.Schema != "" {
-		if g, err = e.intern.schemaGraph(req.Schema); err != nil {
-			return Request{}, &InvalidRequestError{Field: "schema", Err: err}
+	pats := make([]*tpq.Pattern, len(fields))
+	for i, f := range fields {
+		p, err := e.intern.pattern(f.Text)
+		if err != nil {
+			return nil, nil, &InvalidRequestError{Field: f.Name, Err: err}
 		}
+		pats[i] = p
 	}
-	return Request{Query: q, View: v, Schema: g, Recursive: req.Recursive}, nil
+	if schemaText == "" {
+		return pats, nil, nil
+	}
+	g, err := e.intern.schemaGraph(schemaText)
+	if err != nil {
+		return nil, nil, &InvalidRequestError{Field: "schema", Err: err}
+	}
+	return pats, g, nil
 }
 
 // BatchOutcome is one item's outcome in a RewriteBatch call.
@@ -482,28 +473,21 @@ type BatchOutcome struct {
 	Shared bool
 }
 
-// RewriteBatch rewrites a batch of textual requests, sharing work
-// across items: parsing goes through the interner (so repeated or
-// canonically identical expressions parse once), items that collapse
-// onto the same cache key compute once per batch, and distinct keys
-// compute concurrently under the engine's gate, deadline and cache —
-// schema contexts and chase results are shared through the usual
-// per-schema cache. The returned slice is index-aligned with reqs;
-// per-item failures land in their item's Err and never fail the batch.
-func (e *Engine) RewriteBatch(ctx context.Context, reqs []RewriteRequest) []BatchOutcome {
+// RewriteBatch rewrites a batch of requests, sharing work across items:
+// items that collapse onto the same cache key (Parse has already
+// collapsed canonically identical text onto shared patterns) compute
+// once per batch, and distinct keys compute concurrently under the
+// engine's gate, deadline and cache — schema contexts and chase results
+// are shared through the usual per-schema cache. The returned slice is
+// index-aligned with reqs; per-item failures land in their item's Err
+// and never fail the batch.
+func (e *Engine) RewriteBatch(ctx context.Context, reqs []Request) []BatchOutcome {
 	ctx, cancel := e.withDeadline(ctx)
 	defer cancel()
 	out := make([]BatchOutcome, len(reqs))
-	parsed := make([]Request, len(reqs))
 	groups := make(map[string][]int) // cache key → item indices
 	var order []string
-	for i, r := range reqs {
-		p, err := e.parseRewriteRequest(r)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		parsed[i] = p
+	for i, p := range reqs {
 		recursive := p.Schema != nil && (p.Recursive || p.Schema.IsRecursive())
 		k := cache.Key(p.Query, p.View, p.Schema, recursive)
 		if _, seen := groups[k]; !seen {
@@ -525,7 +509,7 @@ func (e *Engine) RewriteBatch(ctx context.Context, reqs []RewriteRequest) []Batc
 				// covers the batch plumbing so one bad item cannot take
 				// down the whole process.
 				defer guard.Recover(&err, "engine.batch")
-				res, err = e.Rewrite(ctx, parsed[lead])
+				res, err = e.Rewrite(ctx, reqs[lead])
 			}()
 			for _, i := range indices {
 				out[i] = BatchOutcome{Result: res, Err: err, Shared: i != lead}
@@ -547,7 +531,7 @@ type Answer struct {
 	// Plan is the compiled (cached) answer plan the request executed.
 	Plan *plan.Plan
 	// Exec carries the answers, as positions into the indexed view
-	// windows, and the per-program backends.
+	// windows.
 	Exec *plan.ExecResult
 }
 
@@ -579,7 +563,7 @@ func (e *Engine) planFor(ctx context.Context, crs []*rewrite.ContainedRewriting)
 // not the process) and admission control (indexing and execution scan
 // the forest, so they queue or shed under saturation like any other
 // compute; plan-cache lookups happen before the gate).
-func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriting, index func(context.Context) (*plan.Forest, error), backend plan.Backend) (pl *plan.Plan, exec *plan.ExecResult, err error) {
+func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriting, index func(context.Context) (*plan.Forest, error)) (pl *plan.Plan, exec *plan.ExecResult, err error) {
 	defer guard.Recover(&err, "engine.answer")
 	pl, err = e.planFor(ctx, crs)
 	if err != nil {
@@ -594,7 +578,7 @@ func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriti
 	if err != nil {
 		return nil, nil, err
 	}
-	exec, err = pl.Exec(ctx, f, plan.ExecOptions{Backend: backend})
+	exec, err = pl.Exec(ctx, f, plan.ExecOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -653,7 +637,7 @@ func (e *Engine) AnswerDoc(ctx context.Context, req Request, d *xmltree.Document
 	viewNodes := rewrite.MaterializeView(req.View, d)
 	pl, exec, err := e.answerPlan(actx, res.CRs, func(c context.Context) (*plan.Forest, error) {
 		return plan.IndexSubtrees(c, d, viewNodes)
-	}, req.PlanBackend)
+	})
 	e.observeAnswer(req.Query, req.View, sp, time.Since(start), err)
 	if err != nil {
 		return nil, err
@@ -667,68 +651,13 @@ func (e *Engine) AnswerDoc(ctx context.Context, req Request, d *xmltree.Document
 	}, nil
 }
 
-// AnswerRequest is an answering request in textual form.
-type AnswerRequest struct {
-	Query    string
-	View     string
-	Document string // XML text
-	Schema   string // optional schema DSL text
-	Backend  string // optional plan backend ("auto", "structjoin", "treedp", "stream")
-}
-
-// AnswerExpr parses the request and answers the query through the view
-// over the document.
-func (e *Engine) AnswerExpr(ctx context.Context, req AnswerRequest) (*Answer, error) {
-	parsed, err := e.parseRewriteRequest(RewriteRequest{Query: req.Query, View: req.View, Schema: req.Schema})
-	if err != nil {
-		return nil, err
-	}
-	if parsed.PlanBackend, err = parseBackend(req.Backend); err != nil {
-		return nil, err
-	}
-	d, err := xmltree.ParseString(req.Document)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "document", Err: err}
-	}
-	return e.AnswerDoc(ctx, parsed, d)
-}
-
-func parseBackend(s string) (plan.Backend, error) {
-	if s == "" {
-		return plan.Auto, nil
-	}
-	b, err := plan.ParseBackend(s)
-	if err != nil {
-		return plan.Auto, &InvalidRequestError{Field: "backend", Err: err}
-	}
-	return b, nil
-}
-
 // RegisterView stores a materialized view under name, replacing any
 // previous registration. This is the mediator's catalog of shipped
-// views.
+// views. The view's expression is kept as the caller parsed it — with
+// tpq.Parse, not Parse — so a registered view keeps the spelling its
+// source sent.
 func (e *Engine) RegisterView(name string, m *viewstore.Materialized) {
 	e.views.Register(name, m)
-}
-
-// RegisterViewExpr parses the view expression and document, evaluates
-// the view over it, and registers the shipped forest under name — the
-// HTTP registration endpoint's engine half.
-func (e *Engine) RegisterViewExpr(name, view, document string) (*viewstore.Materialized, error) {
-	if name == "" {
-		return nil, &InvalidRequestError{Field: "name", Err: errors.New("empty view name")}
-	}
-	v, err := tpq.Parse(view)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "view", Err: err}
-	}
-	d, err := xmltree.ParseString(document)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "document", Err: err}
-	}
-	m := viewstore.Materialize(v, d)
-	e.views.Register(name, m)
-	return m, nil
 }
 
 // View returns the materialized view registered under name.
@@ -743,83 +672,10 @@ func (e *Engine) ViewNames() []string { return e.views.Names() }
 // shard count, interned tag dictionary size, mutation generation).
 func (e *Engine) ViewStats() viewstore.CatalogStats { return e.views.Stats() }
 
-// ViewCandidates returns the names of the stored views the catalog's
-// signature index admits as possible sources of a nonempty rewriting
-// of q — a superset of the truly useful views, selected without
-// touching the view patterns.
-func (e *Engine) ViewCandidates(ctx context.Context, q *tpq.Pattern) ([]string, error) {
-	return e.views.Candidates(ctx, q, nil)
-}
-
 // SelectViews returns the top k stored views for q ranked by signature
 // tightness; k <= 0 returns all candidates, ranked.
 func (e *Engine) SelectViews(ctx context.Context, q *tpq.Pattern, k int) ([]viewstore.SelectedView, error) {
 	return e.views.SelectViews(ctx, q, k)
-}
-
-// MultiView is the outcome of a catalog-wide rewriting: the multi-view
-// MCR plus the view sources that were actually considered (the
-// signature-selected candidate set, in the order MultiViewResult
-// indexes refer to).
-type MultiView struct {
-	Result *rewrite.MultiViewResult
-	Views  []rewrite.ViewSource
-}
-
-// RewriteAllViews computes the maximal contained rewriting of q over
-// the stored-view catalog. The candidate set is chosen by the
-// signature index: with a top-k cap (the argument, else
-// Config.TopKViews) the k tightest-ranked candidates; otherwise, for a
-// '/'-rooted query, exactly the index's candidate views (the excluded
-// views provably contribute nothing); otherwise every view. The
-// rewriting itself runs through the batched rewrite.MCRMultiView
-// pipeline under the engine's gate, budget and deadline.
-func (e *Engine) RewriteAllViews(ctx context.Context, q *tpq.Pattern, topK int) (*MultiView, error) {
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	if topK <= 0 {
-		topK = e.cfg.TopKViews
-	}
-	var selected []string
-	switch {
-	case topK > 0:
-		sel, err := e.views.SelectViews(ctx, q, topK)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sel {
-			selected = append(selected, s.Name)
-		}
-	case q != nil && q.Root != nil && q.Root.Axis == tpq.Child:
-		// '/'-rooted: index-excluded views admit neither a nonempty nor
-		// the trivial embedding, so the candidate set is lossless.
-		var err error
-		if selected, err = e.views.Candidates(ctx, q, nil); err != nil {
-			return nil, err
-		}
-		sort.Strings(selected)
-	default:
-		selected = e.views.Names()
-	}
-	sources := make([]rewrite.ViewSource, 0, len(selected))
-	for _, name := range selected {
-		if m, ok := e.views.Get(name); ok && m != nil && m.Expr != nil {
-			sources = append(sources, rewrite.ViewSource{Name: name, View: m.Expr})
-		}
-	}
-	release, err := e.cfg.Gate.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sp := obs.NewSpan()
-	cctx := obs.WithSpan(ctx, sp)
-	res, err := rewrite.MCRMultiView(q, sources, rewrite.Options{MaxEmbeddings: e.cfg.MaxEmbeddings, Context: cctx})
-	e.metrics.ObserveSpan(sp)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiView{Result: res, Views: sources}, nil
 }
 
 // StoredAnswer is the outcome of answering through a registered stored
@@ -841,7 +697,7 @@ func (sa *StoredAnswer) Answers() []*xmltree.Node { return sa.Exec.Nodes() }
 // compensations compile to a plan (cached), and the plan executes over
 // the view's cached forest index — the source database is never
 // touched.
-func (e *Engine) AnswerStoredView(ctx context.Context, q *tpq.Pattern, viewName string, backend plan.Backend) (*StoredAnswer, error) {
+func (e *Engine) AnswerStoredView(ctx context.Context, q *tpq.Pattern, viewName string) (*StoredAnswer, error) {
 	ctx, cancel := e.withDeadline(ctx)
 	defer cancel()
 	m, ok := e.View(viewName)
@@ -858,7 +714,7 @@ func (e *Engine) AnswerStoredView(ctx context.Context, q *tpq.Pattern, viewName 
 	sp := obs.NewSpan()
 	start := time.Now()
 	actx := obs.WithSpan(ctx, sp)
-	pl, exec, err := e.answerPlan(actx, res.CRs, m.ForestIndex, backend)
+	pl, exec, err := e.answerPlan(actx, res.CRs, m.ForestIndex)
 	e.observeAnswer(q, m.Expr, sp, time.Since(start), err)
 	if err != nil {
 		return nil, err
@@ -869,30 +725,6 @@ func (e *Engine) AnswerStoredView(ctx context.Context, q *tpq.Pattern, viewName 
 		Plan:   pl,
 		Exec:   exec,
 	}, nil
-}
-
-// AnswerStored is the historical form of AnswerStoredView, returning
-// the rewriting and the answers.
-func (e *Engine) AnswerStored(ctx context.Context, q *tpq.Pattern, viewName string) (*rewrite.Result, []*xmltree.Node, error) {
-	sa, err := e.AnswerStoredView(ctx, q, viewName, plan.Auto)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sa.Result, sa.Answers(), nil
-}
-
-// AnswerStoredExpr parses the query and answers it through the named
-// stored view.
-func (e *Engine) AnswerStoredExpr(ctx context.Context, query, viewName, backend string) (*StoredAnswer, error) {
-	q, err := tpq.Parse(query)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "query", Err: err}
-	}
-	b, err := parseBackend(backend)
-	if err != nil {
-		return nil, err
-	}
-	return e.AnswerStoredView(ctx, q, viewName, b)
 }
 
 // Contain decides containment both ways between p and q, schema-
@@ -914,39 +746,6 @@ func (e *Engine) Contain(ctx context.Context, p, q *tpq.Pattern, g *schema.Graph
 		return false, false, err
 	}
 	return pInQ, sc.SContained(q, p), nil
-}
-
-// ContainRequest is a containment request in textual form.
-type ContainRequest struct {
-	P      string
-	Q      string
-	Schema string // optional schema DSL text
-}
-
-// ContainExpr parses the request and decides containment both ways.
-func (e *Engine) ContainExpr(ctx context.Context, req ContainRequest) (pInQ, qInP bool, err error) {
-	p, q, g, err := e.parseContainRequest(req)
-	if err != nil {
-		return false, false, err
-	}
-	return e.Contain(ctx, p, q, g)
-}
-
-func (e *Engine) parseContainRequest(req ContainRequest) (p, q *tpq.Pattern, g *schema.Graph, err error) {
-	start := time.Now()
-	defer func() { e.metrics.ObserveStage(obs.StageParse, time.Since(start)) }()
-	if p, err = tpq.Parse(req.P); err != nil {
-		return nil, nil, nil, &InvalidRequestError{Field: "p", Err: err}
-	}
-	if q, err = tpq.Parse(req.Q); err != nil {
-		return nil, nil, nil, &InvalidRequestError{Field: "q", Err: err}
-	}
-	if req.Schema != "" {
-		if g, err = schema.Parse(req.Schema); err != nil {
-			return nil, nil, nil, &InvalidRequestError{Field: "schema", Err: err}
-		}
-	}
-	return p, q, g, nil
 }
 
 // Chase exposes the chase procedure as an inspection utility: the

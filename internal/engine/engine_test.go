@@ -12,7 +12,6 @@ import (
 	"qav/internal/guard"
 	"qav/internal/leaktest"
 	"qav/internal/limits"
-	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/schema"
 	"qav/internal/tpq"
@@ -34,9 +33,7 @@ item -> name
 
 func TestRewriteSchemaless(t *testing.T) {
 	e := New(Config{})
-	res, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
-	})
+	res, err := rewriteText(e, "//Trials[//Status]//Trial", "//Trials//Trial", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +52,7 @@ func TestRewriteSchemaless(t *testing.T) {
 
 func TestRewriteWithSchemaSelectsAlgorithm(t *testing.T) {
 	e := New(Config{})
-	res, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//Auction[//item]//name", View: "//Auction//person", Schema: auctionSchema,
-	})
+	res, err := rewriteText(e, "//Auction[//item]//name", "//Auction//person", auctionSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +60,7 @@ func TestRewriteWithSchemaSelectsAlgorithm(t *testing.T) {
 		t.Errorf("union = %s", got)
 	}
 	// A recursive schema must silently select the §5 algorithm.
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//a//b", View: "//a//b", Schema: "root a\na -> a? b\nb -> c?\n",
-	}); err != nil {
+	if _, err := rewriteText(e, "//a//b", "//a//b", "root a\na -> a? b\nb -> c?\n"); err != nil {
 		t.Fatalf("recursive schema: %v", err)
 	}
 }
@@ -75,24 +68,28 @@ func TestRewriteWithSchemaSelectsAlgorithm(t *testing.T) {
 func TestInvalidInputs(t *testing.T) {
 	e := New(Config{})
 	var inv *InvalidRequestError
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "///", View: "//a"}); !errors.As(err, &inv) || inv.Field != "query" {
+	if _, err := rewriteText(e, "///", "//a", ""); !errors.As(err, &inv) || inv.Field != "query" {
 		t.Errorf("bad query: %v", err)
 	}
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a", View: "//b", Schema: "not a schema"}); !errors.As(err, &inv) || inv.Field != "schema" {
+	if _, err := rewriteText(e, "//a", "//b", "not a schema"); !errors.As(err, &inv) || inv.Field != "schema" {
 		t.Errorf("bad schema: %v", err)
 	}
-	if _, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "//a", View: "//a", Document: "<unclosed"}); !errors.As(err, &inv) || inv.Field != "document" {
-		t.Errorf("bad document: %v", err)
+	if _, _, err := containText(e, "//a", "((", ""); !errors.As(err, &inv) || inv.Field != "q" {
+		t.Errorf("bad q: %v", err)
+	}
+	// One parse stage per request, however many texts it carries.
+	before := e.MetricsSnapshot().Stages["parse"].Count
+	if _, _, err := e.Parse(auctionSchema, Field{Name: "p", Text: "//a"}, Field{Name: "q", Text: "//b"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.MetricsSnapshot().Stages["parse"].Count; got != before+1 {
+		t.Errorf("parse stage count %d -> %d, want one more", before, got)
 	}
 }
 
 func TestAnswerExpr(t *testing.T) {
 	e := New(Config{})
-	ans, err := e.AnswerExpr(context.Background(), AnswerRequest{
-		Query:    "//Trials[//Status]//Trial/Patient",
-		View:     "//Trials//Trial",
-		Document: "<PharmaLab><Trials><Trial><Patient>John</Patient><Status/></Trial><Trial><Patient>Jen</Patient></Trial></Trials></PharmaLab>",
-	})
+	ans, err := answerText(e, "//Trials[//Status]//Trial/Patient", "//Trials//Trial", "<PharmaLab><Trials><Trial><Patient>John</Patient><Status/></Trial><Trial><Patient>Jen</Patient></Trial></Trials></PharmaLab>")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +100,7 @@ func TestAnswerExpr(t *testing.T) {
 		t.Errorf("viewNodes = %d, direct = %d", len(ans.ViewNodes), len(ans.Direct))
 	}
 	// Unanswerable pair.
-	if _, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "/b", View: "/a//c", Document: "<a/>"}); !errors.Is(err, ErrNotAnswerable) {
+	if _, err := answerText(e, "/b", "/a//c", "<a/>"); !errors.Is(err, ErrNotAnswerable) {
 		t.Errorf("err = %v, want ErrNotAnswerable", err)
 	}
 }
@@ -115,28 +112,26 @@ func TestAnswerStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RegisterView("src1", viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d))
-	_, answers, err := e.AnswerStored(context.Background(), tpq.MustParse("//Trials//Trial/Patient"), "src1")
+	sa, err := e.AnswerStoredView(context.Background(), tpq.MustParse("//Trials//Trial/Patient"), "src1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != 1 || answers[0].Text != "Ann" {
+	if answers := sa.Answers(); len(answers) != 1 || answers[0].Text != "Ann" {
 		t.Errorf("answers = %v", answers)
 	}
-	if _, _, err := e.AnswerStored(context.Background(), tpq.MustParse("//x"), "nope"); !errors.Is(err, ErrUnknownView) {
+	if _, err := e.AnswerStoredView(context.Background(), tpq.MustParse("//x"), "nope"); !errors.Is(err, ErrUnknownView) {
 		t.Errorf("err = %v, want ErrUnknownView", err)
 	}
 }
 
 func TestContain(t *testing.T) {
 	e := New(Config{})
-	pInQ, qInP, err := e.ContainExpr(context.Background(), ContainRequest{P: "//a/b", Q: "//a//b"})
+	pInQ, qInP, err := containText(e, "//a/b", "//a//b", "")
 	if err != nil || !pInQ || qInP {
 		t.Errorf("contain = %v %v %v", pInQ, qInP, err)
 	}
 	// Schema-relative: the Figure 2 pair holds only under the schema.
-	pInQ, _, err = e.ContainExpr(context.Background(), ContainRequest{
-		P: "//Auction//person//name", Q: "//Auction[//item]//name", Schema: auctionSchema,
-	})
+	pInQ, _, err = containText(e, "//Auction//person//name", "//Auction[//item]//name", auctionSchema)
 	if err != nil || !pInQ {
 		t.Errorf("S-containment = %v %v", pInQ, err)
 	}
@@ -236,8 +231,7 @@ func TestConfigTimeout(t *testing.T) {
 // probe).
 func TestMetricsSnapshotStages(t *testing.T) {
 	e := New(Config{})
-	req := RewriteRequest{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
-	if _, err := e.RewriteExpr(context.Background(), req); err != nil {
+	if _, err := rewriteText(e, "//Trials[//Status]//Trial", "//Trials//Trial", ""); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.MetricsSnapshot()
@@ -253,7 +247,7 @@ func TestMetricsSnapshotStages(t *testing.T) {
 	// The same request again is a hit: parse runs (expression decoding
 	// is outside the cache), the pipeline stages must not.
 	enumBefore := snap.Stages["enumerate"].Count
-	if _, err := e.RewriteExpr(context.Background(), req); err != nil {
+	if _, err := rewriteText(e, "//Trials[//Status]//Trial", "//Trials//Trial", ""); err != nil {
 		t.Fatal(err)
 	}
 	snap = e.MetricsSnapshot()
@@ -268,9 +262,7 @@ func TestMetricsSnapshotStages(t *testing.T) {
 // The schema pipeline credits the chase stage too.
 func TestMetricsSnapshotSchemaStages(t *testing.T) {
 	e := New(Config{})
-	_, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//Auction[//item]//name", View: "//Auction//person", Schema: auctionSchema,
-	})
+	_, err := rewriteText(e, "//Auction[//item]//name", "//Auction//person", auctionSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +274,7 @@ func TestMetricsSnapshotSchemaStages(t *testing.T) {
 
 func TestSlowQueryLog(t *testing.T) {
 	e := New(Config{SlowQueryThreshold: time.Nanosecond})
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
-	}); err != nil {
+	if _, err := rewriteText(e, "//Trials[//Status]//Trial", "//Trials//Trial", ""); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.SlowLog().Snapshot()
@@ -300,9 +290,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	// A repeat of the same request is a cache hit and must not be
 	// logged again, no matter how low the threshold.
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
-	}); err != nil {
+	if _, err := rewriteText(e, "//Trials[//Status]//Trial", "//Trials//Trial", ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.SlowLog().Snapshot().Total; got != 1 {
@@ -312,9 +300,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 func TestSlowQueryLogDisabledByDefault(t *testing.T) {
 	e := New(Config{})
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
-	}); err != nil {
+	if _, err := rewriteText(e, "//Trials[//Status]//Trial", "//Trials//Trial", ""); err != nil {
 		t.Fatal(err)
 	}
 	if snap := e.SlowLog().Snapshot(); snap.Total != 0 {
@@ -360,19 +346,19 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 				q := queries[(w+i)%len(queries)]
 				switch i % 4 {
 				case 0:
-					if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: q, View: "//a"}); err != nil {
+					if _, err := rewriteText(e, q, "//a", ""); err != nil {
 						t.Error(err)
 					}
 				case 1:
-					if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: q, View: "//a", Schema: auctionSchema}); err != nil {
+					if _, err := rewriteText(e, q, "//a", auctionSchema); err != nil {
 						t.Error(err)
 					}
 				case 2:
-					if _, _, err := e.ContainExpr(context.Background(), ContainRequest{P: q, Q: "//a"}); err != nil {
+					if _, _, err := containText(e, q, "//a", ""); err != nil {
 						t.Error(err)
 					}
 				case 3:
-					ans, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "//a/b", View: "//a", Document: doc})
+					ans, err := answerText(e, "//a/b", "//a", doc)
 					if err != nil {
 						t.Error(err)
 					} else if len(ans.Answers()) != 1 {
@@ -392,7 +378,7 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 			name := fmt.Sprintf("v%d", w)
 			e.RegisterView(name, viewstore.Materialize(tpq.MustParse("//a"), d))
 			for i := 0; i < 10; i++ {
-				if _, _, err := e.AnswerStored(context.Background(), tpq.MustParse("//a/b"), name); err != nil {
+				if _, err := e.AnswerStoredView(context.Background(), tpq.MustParse("//a/b"), name); err != nil {
 					t.Error(err)
 				}
 			}
@@ -415,7 +401,7 @@ func TestGateShedsUnderSaturation(t *testing.T) {
 	}
 	first := make(chan error, 1)
 	go func() {
-		_, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a[b]//c", View: "//a//c"})
+		_, err := rewriteText(e, "//a[b]//c", "//a//c", "")
 		first <- err
 	}()
 	// Wait for the first request to occupy the slot.
@@ -426,7 +412,7 @@ func TestGateShedsUnderSaturation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//x[y]//z", View: "//x//z"})
+	_, err := rewriteText(e, "//x[y]//z", "//x//z", "")
 	var sat *limits.SaturatedError
 	if !errors.As(err, &sat) {
 		t.Fatalf("second request err = %v, want *SaturatedError", err)
@@ -444,7 +430,7 @@ func TestGateShedsUnderSaturation(t *testing.T) {
 	// Shed outcomes are transient: the key must not be negative-cached,
 	// so the same request succeeds once load drains.
 	fault.Disable()
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//x[y]//z", View: "//x//z"}); err != nil {
+	if _, err := rewriteText(e, "//x[y]//z", "//x//z", ""); err != nil {
 		t.Errorf("retry after shed failed: %v", err)
 	}
 }
@@ -460,7 +446,7 @@ func TestPipelinePanicIsolatedAndLogged(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a[b]//c", View: "//a//c"})
+	_, err := rewriteText(e, "//a[b]//c", "//a//c", "")
 	if !errors.Is(err, guard.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -475,7 +461,7 @@ func TestPipelinePanicIsolatedAndLogged(t *testing.T) {
 		t.Errorf("panicked computation was cached (%d entries)", s.CacheEntries)
 	}
 	fault.Disable()
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a[b]//c", View: "//a//c"}); err != nil {
+	if _, err := rewriteText(e, "//a[b]//c", "//a//c", ""); err != nil {
 		t.Errorf("retry after recovered panic failed: %v", err)
 	}
 }
@@ -488,24 +474,17 @@ func TestAnswerStoredView(t *testing.T) {
 	}
 	e.RegisterView("src1", viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d))
 	q := tpq.MustParse("//Trials//Trial/Patient")
-	for _, be := range []plan.Backend{plan.Auto, plan.StructJoin, plan.TreeDP, plan.Stream} {
-		sa, err := e.AnswerStoredView(context.Background(), q, "src1", be)
+	for i := 0; i < 4; i++ {
+		sa, err := e.AnswerStoredView(context.Background(), q, "src1")
 		if err != nil {
-			t.Fatalf("backend %v: %v", be, err)
+			t.Fatal(err)
 		}
 		answers := sa.Answers()
 		if len(answers) != 2 || answers[0].Text != "Ann" || answers[1].Text != "Bob" {
-			t.Fatalf("backend %v: answers = %v", be, answers)
+			t.Fatalf("answers = %v", answers)
 		}
 		if sa.Trees != 2 || sa.Plan == nil || sa.Exec == nil {
-			t.Fatalf("backend %v: trees=%d plan=%v exec=%v", be, sa.Trees, sa.Plan, sa.Exec)
-		}
-		if be != plan.Auto {
-			for _, got := range sa.Exec.Backends {
-				if got != be {
-					t.Fatalf("forced %v but program ran %v", be, got)
-				}
-			}
+			t.Fatalf("trees=%d plan=%v exec=%v", sa.Trees, sa.Plan, sa.Exec)
 		}
 	}
 	// The plan is a pure function of the CR union: the repeats above
@@ -516,61 +495,30 @@ func TestAnswerStoredView(t *testing.T) {
 	}
 }
 
-func TestAnswerStoredExprBackendValidation(t *testing.T) {
-	e := New(Config{})
-	d, _ := xmltree.ParseString("<a><b/></a>")
-	e.RegisterView("v", viewstore.Materialize(tpq.MustParse("//a"), d))
-	if _, err := e.AnswerStoredExpr(context.Background(), "//a/b", "v", "bogus"); err == nil {
-		t.Fatal("bogus backend accepted")
-	} else {
-		var inv *InvalidRequestError
-		if !errors.As(err, &inv) || inv.Field != "backend" {
-			t.Fatalf("err = %v, want InvalidRequestError{backend}", err)
-		}
-	}
-	if _, err := e.AnswerExpr(context.Background(), AnswerRequest{
-		Query: "//a/b", View: "//a", Document: "<a><b/></a>", Backend: "bogus",
-	}); err == nil {
-		t.Fatal("bogus backend accepted by AnswerExpr")
-	}
-}
-
 func TestRegisterViewExprAndNames(t *testing.T) {
 	e := New(Config{})
-	m, err := e.RegisterViewExpr("beta", "//Trials//Trial", "<Trials><Trial><Patient>Ann</Patient></Trial></Trials>")
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []struct{ name, view, doc string }{
+		{"beta", "//Trials//Trial", "<Trials><Trial><Patient>Ann</Patient></Trial></Trials>"},
+		{"alpha", "//Trials", "<Trials/>"},
+	} {
+		d, err := xmltree.ParseString(v.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RegisterView(v.name, viewstore.Materialize(tpq.MustParse(v.view), d))
 	}
-	if len(m.Forest) != 1 {
-		t.Fatalf("forest = %d trees", len(m.Forest))
-	}
-	if _, err := e.RegisterViewExpr("alpha", "//Trials", "<Trials/>"); err != nil {
-		t.Fatal(err)
+	if m, ok := e.View("beta"); !ok || len(m.Forest) != 1 {
+		t.Fatalf("beta = %v, %v", m, ok)
 	}
 	names := e.ViewNames()
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
 		t.Fatalf("ViewNames = %v", names)
 	}
-	for _, tc := range []struct{ name, view, doc, field string }{
-		{"", "//a", "<a/>", "name"},
-		{"x", "((", "<a/>", "view"},
-		{"x", "//a", "<not-xml", "document"},
-	} {
-		_, err := e.RegisterViewExpr(tc.name, tc.view, tc.doc)
-		var inv *InvalidRequestError
-		if !errors.As(err, &inv) || inv.Field != tc.field {
-			t.Errorf("RegisterViewExpr(%q,%q,...): err = %v, want field %q", tc.name, tc.view, err, tc.field)
-		}
-	}
 }
 
 func TestAnswerRecordsPlanStages(t *testing.T) {
 	e := New(Config{})
-	_, err := e.AnswerExpr(context.Background(), AnswerRequest{
-		Query:    "//Trials[//Status]//Trial/Patient",
-		View:     "//Trials//Trial",
-		Document: "<PharmaLab><Trials><Trial><Patient>John</Patient><Status/></Trial></Trials></PharmaLab>",
-	})
+	_, err := answerText(e, "//Trials[//Status]//Trial/Patient", "//Trials//Trial", "<PharmaLab><Trials><Trial><Patient>John</Patient><Status/></Trial></Trials></PharmaLab>")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,9 +535,7 @@ func TestAnswerRecordsPlanStages(t *testing.T) {
 
 func TestAnswerSlowLogOp(t *testing.T) {
 	e := New(Config{SlowQueryThreshold: time.Nanosecond})
-	_, err := e.AnswerExpr(context.Background(), AnswerRequest{
-		Query: "//Trials//Trial", View: "//Trials//Trial", Document: "<Trials><Trial/></Trials>",
-	})
+	_, err := answerText(e, "//Trials//Trial", "//Trials//Trial", "<Trials><Trial/></Trials>")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,8 +566,51 @@ func TestAnswerStoredGateSheds(t *testing.T) {
 	e := New(Config{Gate: g})
 	d, _ := xmltree.ParseString("<a><b/></a>")
 	e.RegisterView("v", viewstore.Materialize(tpq.MustParse("//a"), d))
-	_, err = e.AnswerStoredView(context.Background(), tpq.MustParse("//a/b"), "v", plan.Auto)
+	_, err = e.AnswerStoredView(context.Background(), tpq.MustParse("//a/b"), "v")
 	if !errors.Is(err, limits.ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated", err)
 	}
+}
+
+// parseRequest parses a rewrite request's texts through Parse, as the
+// HTTP edge does.
+func parseRequest(e *Engine, query, view, schemaText string) (Request, error) {
+	pats, g, err := e.Parse(schemaText, Field{Name: "query", Text: query}, Field{Name: "view", Text: view})
+	if err != nil {
+		return Request{}, err
+	}
+	return Request{Query: pats[0], View: pats[1], Schema: g}, nil
+}
+
+// rewriteText parses the texts like the HTTP edge and rewrites.
+func rewriteText(e *Engine, query, view, schemaText string) (*rewrite.Result, error) {
+	req, err := parseRequest(e, query, view, schemaText)
+	if err != nil {
+		return nil, err
+	}
+	return e.Rewrite(context.Background(), req)
+}
+
+// answerText parses the texts like the HTTP edge and answers the query
+// through the view over the document.
+func answerText(e *Engine, query, view, doc string) (*Answer, error) {
+	req, err := parseRequest(e, query, view, "")
+	if err != nil {
+		return nil, err
+	}
+	d, err := xmltree.ParseString(doc)
+	if err != nil {
+		return nil, err
+	}
+	return e.AnswerDoc(context.Background(), req, d)
+}
+
+// containText parses the texts like the HTTP edge and decides
+// containment both ways.
+func containText(e *Engine, p, q, schemaText string) (pInQ, qInP bool, err error) {
+	pats, g, err := e.Parse(schemaText, Field{Name: "p", Text: p}, Field{Name: "q", Text: q})
+	if err != nil {
+		return false, false, err
+	}
+	return e.Contain(context.Background(), pats[0], pats[1], g)
 }

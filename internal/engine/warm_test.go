@@ -16,13 +16,12 @@ import (
 func TestWarmBootServesRewriteWithoutRecompute(t *testing.T) {
 	defer leaktest.Check(t)()
 	dir := t.TempDir()
-	req := RewriteRequest{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
 
 	e1 := New(Config{CacheSize: 16, CacheDir: dir})
 	if wb := e1.WarmBootInfo(); !wb.Enabled || wb.Err != "" {
 		t.Fatalf("warm boot info = %+v, want enabled tier", wb)
 	}
-	want, err := e1.RewriteExpr(context.Background(), req)
+	want, err := rewriteText(e1, "//Trials[//Status]//Trial", "//Trials//Trial", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestWarmBootServesRewriteWithoutRecompute(t *testing.T) {
 	if wb := e2.WarmBootInfo(); wb.Replayed != 1 {
 		t.Fatalf("second boot replayed = %d, want 1", wb.Replayed)
 	}
-	got, err := e2.RewriteExpr(context.Background(), req)
+	got, err := rewriteText(e2, "//Trials[//Status]//Trial", "//Trials//Trial", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +82,7 @@ func TestWarmBootOpenFailureIsNonFatal(t *testing.T) {
 	if wb.Err == "" {
 		t.Error("open failure not reported")
 	}
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
-		Query: "//a[b]", View: "//a",
-	}); err != nil {
+	if _, err := rewriteText(e, "//a[b]", "//a", ""); err != nil {
 		t.Errorf("memory-only fallback broken: %v", err)
 	}
 }
@@ -139,7 +136,7 @@ func TestInternCollapsesCanonicalTwins(t *testing.T) {
 		"//Trials[//Phase][//Status]//Trial",
 	}
 	for _, s := range spellings {
-		if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: s, View: "//Trials//Trial"}); err != nil {
+		if _, err := rewriteText(e, s, "//Trials//Trial", ""); err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
 	}
@@ -154,7 +151,7 @@ func TestInternCollapsesCanonicalTwins(t *testing.T) {
 		t.Errorf("internDedups = %d, want >= 1 (the second spelling collapsed)", st.InternDedups)
 	}
 	// Exact-text repeats skip the parse entirely.
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: spellings[0], View: "//Trials//Trial"}); err != nil {
+	if _, err := rewriteText(e, spellings[0], "//Trials//Trial", ""); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.InternHits < 2 {
@@ -163,24 +160,36 @@ func TestInternCollapsesCanonicalTwins(t *testing.T) {
 }
 
 // RewriteBatch: per-item errors stay per-item, canonical duplicates
-// share one computation, and outcomes stay index-aligned.
+// share one computation, and outcomes stay index-aligned. Malformed
+// text never reaches the batch: Parse refuses it at the edge.
 func TestRewriteBatch(t *testing.T) {
 	e := New(Config{CacheSize: 16})
-	outs := e.RewriteBatch(context.Background(), []RewriteRequest{
-		{Query: "//Trials[//Status][//Phase]//Trial", View: "//Trials//Trial"},
-		{Query: "//Trials[//Status//", View: "//Trials//Trial"},                // malformed
-		{Query: "//Trials[//Phase][//Status]//Trial", View: "//Trials//Trial"}, // canonical twin of item 0
-		{Query: "//x[y]", View: "//x"},
-	})
+	var inv *InvalidRequestError
+	if _, err := parseRequest(e, "//Trials[//Status//", "//Trials//Trial", ""); !errors.As(err, &inv) || inv.Field != "query" {
+		t.Fatalf("malformed query: err = %v, want InvalidRequestError{query}", err)
+	}
+	var reqs []Request
+	for _, qv := range [][2]string{
+		{"//Trials[//Status][//Phase]//Trial", "//Trials//Trial"},
+		{"//Trials/*", "//Trials"},                                // wildcards are outside the rewriting fragment
+		{"//Trials[//Phase][//Status]//Trial", "//Trials//Trial"}, // canonical twin of item 0
+		{"//x[y]", "//x"},
+	} {
+		req, err := parseRequest(e, qv[0], qv[1], "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	outs := e.RewriteBatch(context.Background(), reqs)
 	if len(outs) != 4 {
 		t.Fatalf("got %d outcomes", len(outs))
 	}
 	if outs[0].Err != nil || outs[0].Result == nil || outs[0].Shared {
 		t.Errorf("item 0 = %+v, want leading success", outs[0])
 	}
-	var inv *InvalidRequestError
-	if outs[1].Err == nil || !errors.As(outs[1].Err, &inv) {
-		t.Errorf("item 1 err = %v, want InvalidRequestError", outs[1].Err)
+	if outs[1].Err == nil || outs[1].Shared {
+		t.Errorf("item 1 = %+v, want its own failure", outs[1])
 	}
 	if outs[2].Err != nil || !outs[2].Shared {
 		t.Errorf("item 2 = %+v, want shared success", outs[2])
@@ -191,7 +200,7 @@ func TestRewriteBatch(t *testing.T) {
 	if outs[3].Err != nil || outs[3].Shared {
 		t.Errorf("item 3 = %+v, want independent success", outs[3])
 	}
-	if st := e.Stats(); st.CacheMisses != 2 {
-		t.Errorf("misses = %d, want 2 (two distinct keys computed)", st.CacheMisses)
+	if st := e.Stats(); st.CacheMisses != 3 {
+		t.Errorf("misses = %d, want 3 (three distinct keys computed)", st.CacheMisses)
 	}
 }

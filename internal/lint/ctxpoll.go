@@ -33,7 +33,6 @@ var ctxpollTargets = []string{
 	"internal/chase",
 	"internal/engine",
 	"internal/viewselect",
-	"internal/structjoin",
 	"internal/stream",
 	"internal/workload",
 	"internal/plan",

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -12,7 +11,6 @@ import (
 	"qav/internal/guard"
 	"qav/internal/names"
 	"qav/internal/obs"
-	"qav/internal/stream"
 	"qav/internal/tpq"
 	"qav/internal/xmltree"
 )
@@ -21,50 +19,8 @@ import (
 // chaos plan arms it; see internal/fault).
 var faultExec = fault.Register(names.FaultPlanExec)
 
-// Backend selects the evaluation strategy of one program.
-type Backend int
-
-const (
-	// Auto runs every program with the structural-join kernel; the
-	// zero value, and what requests that name no backend get.
-	Auto Backend = iota
-	// StructJoin joins the forest's sorted posting lists bottom-up,
-	// then walks the distinguished path top-down — integer work
-	// proportional to the candidate lists, not the forest.
-	StructJoin
-	// TreeDP runs the compiled tpq dynamic program per tree — work
-	// |E| × |forest|. Kept as a differential oracle.
-	TreeDP
-	// Stream replays each tree through the SAX evaluator — O(depth ·
-	// |E|) resident per tree. Kept as a differential oracle.
-	Stream
-)
-
-var backendNames = [...]string{"auto", "structjoin", "treedp", "stream"}
-
-func (b Backend) String() string {
-	if b < 0 || int(b) >= len(backendNames) {
-		return "unknown"
-	}
-	return backendNames[b]
-}
-
-// ParseBackend parses a backend name as accepted by CLI flags and the
-// HTTP API ("auto", "structjoin", "treedp", "stream").
-func ParseBackend(s string) (Backend, error) {
-	for i, n := range backendNames {
-		if s == n {
-			return Backend(i), nil
-		}
-	}
-	return Auto, fmt.Errorf("plan: unknown backend %q", s)
-}
-
 // ExecOptions tune one plan execution.
 type ExecOptions struct {
-	// Backend forces one backend for every program; Auto means
-	// StructJoin.
-	Backend Backend
 	// Parallel bounds the number of programs executing concurrently;
 	// <= 0 means GOMAXPROCS.
 	Parallel int
@@ -78,9 +34,6 @@ type ExecResult struct {
 	// A node that matches under several windows of a shared forest is
 	// reported once, at its position in the first such window.
 	Positions []int32
-	// Backends records the backend each program ran with, parallel to
-	// the plan's programs.
-	Backends []Backend
 
 	forest *Forest
 }
@@ -118,14 +71,6 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	backend := opts.Backend
-	if backend == Auto {
-		backend = StructJoin
-	}
-	backends := make([]Backend, len(p.programs))
-	for i := range backends {
-		backends[i] = backend
-	}
 	per := make([][]int32, len(p.programs))
 	errs := make([]error, len(p.programs))
 	// Answers may live in kernel scratch until the union copies them
@@ -136,7 +81,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 		k := f.getKernel()
 		defer f.putKernel(k)
 		for i, pr := range p.programs {
-			per[i], errs[i] = runProgram(ctx, pr, k, backend)
+			per[i], errs[i] = k.join(ctx, pr, true)
 			if errs[i] != nil {
 				break
 			}
@@ -157,15 +102,15 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 			kernels[i] = f.getKernel()
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i int, pr *program, k *kernel, b Backend) {
+			go func(i int, pr *program, k *kernel) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				// A panic in a worker must become this program's error,
 				// never a process crash: indices are disjoint, so the
 				// write needs no lock.
 				defer guard.Rescue("plan.exec", func(err error) { errs[i] = err })
-				per[i], errs[i] = runProgram(ctx, pr, k, b)
-			}(i, pr, kernels[i], backend)
+				per[i], errs[i] = k.join(ctx, pr, true)
+			}(i, pr, kernels[i])
 		}
 		wg.Wait()
 	}
@@ -177,7 +122,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &ExecResult{Positions: f.union(per), Backends: backends, forest: f}, nil
+	return &ExecResult{Positions: f.union(per), forest: f}, nil
 }
 
 func parallelism(requested, programs int) int {
@@ -189,55 +134,6 @@ func parallelism(requested, programs int) int {
 		par = programs
 	}
 	return par
-}
-
-// runProgram evaluates one program and returns its answers as
-// ascending forest positions, possibly in k's scratch.
-func runProgram(ctx context.Context, pr *program, k *kernel, b Backend) ([]int32, error) {
-	switch b {
-	case TreeDP:
-		return runTreeDP(ctx, pr, k.f)
-	case Stream:
-		return runStream(ctx, pr, k.f)
-	default:
-		return k.join(ctx, pr, true)
-	}
-}
-
-// runTreeDP evaluates the program by pinning the compiled pattern to
-// each tree root in turn — the naive per-tree strategy, compiled once.
-func runTreeDP(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
-	var out []int32
-	for ti, t := range f.trees {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		base := f.start[ti] - int32(t.Root.Index)
-		for _, n := range pr.prep.EvaluateAt(t.Doc, t.Root) {
-			out = append(out, base+int32(n.Index))
-		}
-	}
-	return out, nil
-}
-
-// runStream replays each tree through the SAX evaluator. The answers
-// come back as preorder positions within the walked subtree, which
-// offset straight onto the tree's run of forest positions.
-func runStream(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
-	var out []int32
-	for ti, t := range f.trees {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		answers, err := stream.EvaluateNode(ctx, t.Root, pr.comp)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range answers {
-			out = append(out, f.start[ti]+int32(a.Index))
-		}
-	}
-	return out, nil
 }
 
 // kernel is the structural-join kernel with its scratch: a bitset over
@@ -321,7 +217,7 @@ func (k *kernel) candidates(tag string, pinned bool) []int32 {
 // pattern subtree; a top-down pass along the distinguished path then
 // selects the output positions. pinRoot restricts the root candidates
 // to the tree roots (the compensation pinning); the general entry
-// point (EvaluateIndexed) passes the pattern's own root axis semantics
+// point (Forest.Evaluate) passes the pattern's own root axis semantics
 // instead. Every list is ascending. The result may alias the forest or
 // the kernel's scratch.
 func (k *kernel) join(ctx context.Context, pr *program, pinRoot bool) ([]int32, error) {
@@ -359,11 +255,13 @@ func (k *kernel) join(ctx context.Context, pr *program, pinRoot bool) ([]int32, 
 	return cur, nil
 }
 
-// EvaluateIndexed evaluates a general (not root-pinned) pattern over
-// the forest with structural joins, honoring the pattern's root axis: a
+// Evaluate evaluates a general (not root-pinned) pattern over the
+// forest with structural joins, honoring the pattern's root axis: a
 // Child root must match a tree root, a Descendant root may match
-// anywhere. This is the join core the structjoin package delegates to.
-func EvaluateIndexed(ctx context.Context, f *Forest, p *tpq.Pattern) ([]*xmltree.Node, error) {
+// anywhere. Over an IndexDocument forest the answers equal
+// Pattern.Evaluate's. The context is polled once per pattern node and a
+// cancelled ctx aborts with its error.
+func (f *Forest) Evaluate(ctx context.Context, p *tpq.Pattern) ([]*xmltree.Node, error) {
 	if p == nil || p.Root == nil {
 		return nil, nil
 	}

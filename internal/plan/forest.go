@@ -137,8 +137,8 @@ func IndexSubtrees(ctx context.Context, d *xmltree.Document, viewNodes []*xmltre
 }
 
 // IndexDocument indexes one whole document as a single-tree forest —
-// the degenerate case the structjoin façade evaluates general (not
-// root-pinned) patterns against.
+// the degenerate case Forest.Evaluate answers general (not root-pinned)
+// patterns over.
 func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 	if d == nil || d.Root == nil {
 		return indexTrees(ctx, nil, true)

@@ -10,9 +10,8 @@
 // structural-join literature the paper cites (Al-Khalifa et al.,
 // Bruno et al., and the tree-pattern survey):
 //
-//   - compile: each compensation query is normalized (root pinned, so
-//     all backends agree on the pinned-root semantics of EvaluateAt),
-//     deduplicated by canonical form, and lowered to a structural-join
+//   - compile: each compensation query is normalized (root pinned to
+//     the view node, the semantics of Pattern.EvaluateAt), deduplicated by canonical form, and lowered to a structural-join
 //     program over preorder positions. Plans are pure functions of the
 //     CR union, so the engine caches them by Key.
 //   - index: the view forest is indexed once into pointer-free int32
@@ -21,12 +20,17 @@
 //     lists (see Forest), shared by every program and every request
 //     against the same materialization.
 //   - exec: the programs run against the index with one structural-join
-//     kernel over positions (the per-tree dynamic program and the
-//     streaming evaluator stay selectable as differential oracles),
-//     and their answers are unioned with document-order dedup.
+//     kernel over positions — the only executor; the tests pin it
+//     against the naive per-view-node evaluators in rewrite and against
+//     tpq's tree-DP — and their answers are unioned with document-order
+//     dedup.
 //
-// The package deliberately depends only on tpq, xmltree and the
-// streaming evaluator: rewrite, viewstore and engine all sit above it.
+// Forest.Evaluate runs the same kernel for a general (not root-pinned)
+// pattern over an IndexDocument forest: the document index the public
+// qav package exposes.
+//
+// Of the query layers the package depends only on tpq and xmltree:
+// rewrite, viewstore and engine all sit above it.
 package plan
 
 import (
@@ -53,12 +57,6 @@ type program struct {
 	// canon is the canonical form of the normalized pattern — the
 	// dedup and cache-key unit.
 	canon string
-	// comp is the normalized pattern: a standalone clone with a Child
-	// root axis, so the tree-DP and streaming backends evaluate the
-	// same pinned-root semantics the structural joins implement.
-	comp *tpq.Pattern
-	// prep is the compiled form for the tree-DP backend.
-	prep *tpq.Prepared
 	// ops lists the pattern nodes in preorder; ops[0] is the root.
 	ops []op
 	// path holds the preorder positions of the distinguished path,
@@ -83,10 +81,10 @@ func (p *Plan) Key() string { return p.key }
 // Programs returns the number of distinct compiled programs.
 func (p *Plan) Programs() int { return len(p.programs) }
 
-// normalize clones comp into the standalone pinned form every backend
+// normalize clones comp into the standalone pinned form the kernel
 // evaluates: the root axis becomes Child (EvaluateAt ignores the root
-// axis; the streaming evaluator honors it, and over a standalone tree
-// a Child root is exactly "pinned to the tree root").
+// axis, and over a standalone tree a Child root is exactly "pinned to
+// the tree root").
 func normalize(comp *tpq.Pattern) (*tpq.Pattern, error) {
 	if comp == nil || comp.Root == nil {
 		return nil, fmt.Errorf("plan: nil compensation pattern")
@@ -163,8 +161,6 @@ func lower(canon string, pinned *tpq.Pattern) *program {
 	nodes := pinned.PreorderNodes()
 	pr := &program{
 		canon: canon,
-		comp:  pinned,
-		prep:  pinned.Prepare(),
 		ops:   make([]op, len(nodes)),
 	}
 	for i, n := range nodes {

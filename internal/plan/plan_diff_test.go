@@ -1,8 +1,8 @@
 // Differential tests: compiled-plan answers must be identical — same
 // nodes, same order — to the frozen naive evaluators in
 // internal/rewrite/answer_ref.go, over random (query, view, document)
-// instances, for every backend, in both forest layouts (shared-document
-// windows and shipped standalone trees). External test package: the
+// instances, in both forest layouts (shared-document windows and
+// shipped standalone trees). External test package: the
 // references live in rewrite, which imports plan.
 package plan_test
 
@@ -20,8 +20,6 @@ import (
 	"qav/internal/xmltree"
 )
 
-var allBackends = []plan.Backend{plan.Auto, plan.StructJoin, plan.TreeDP, plan.Stream}
-
 // sameNodes demands pointer-identical answers in identical order.
 func sameNodes(got, want []*xmltree.Node) bool {
 	if len(got) != len(want) {
@@ -36,8 +34,8 @@ func sameNodes(got, want []*xmltree.Node) bool {
 }
 
 // diffInstance checks one (CRs, document) instance in both layouts
-// against both references, under every backend and both the serial and
-// parallel exec paths. Returns the number of backend comparisons made.
+// against both references, under both the serial and parallel exec
+// paths. Returns the number of comparisons made.
 func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.ContainedRewriting, v *tpq.Pattern, d *xmltree.Document) int {
 	t.Helper()
 	comps := rewrite.Compensations(crs)
@@ -57,18 +55,16 @@ func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.
 	if err != nil {
 		t.Fatalf("%s: index subtrees: %v", tag, err)
 	}
-	for _, be := range allBackends {
-		for _, par := range []int{1, 4} {
-			res, err := pl.Exec(ctx, fShared, plan.ExecOptions{Backend: be, Parallel: par})
-			if err != nil {
-				t.Fatalf("%s: exec %v par=%d: %v", tag, be, par, err)
-			}
-			if !sameNodes(res.Nodes(), wantShared) {
-				t.Fatalf("%s: backend %v par=%d diverges on shared forest:\n got %v\nwant %v",
-					tag, be, par, paths(res.Nodes()), paths(wantShared))
-			}
-			checks++
+	for _, par := range []int{1, 4} {
+		res, err := pl.Exec(ctx, fShared, plan.ExecOptions{Parallel: par})
+		if err != nil {
+			t.Fatalf("%s: exec par=%d: %v", tag, par, err)
 		}
+		if !sameNodes(res.Nodes(), wantShared) {
+			t.Fatalf("%s: par=%d diverges on shared forest:\n got %v\nwant %v",
+				tag, par, paths(res.Nodes()), paths(wantShared))
+		}
+		checks++
 	}
 
 	// Shipped layout: standalone cloned trees (the viewstore contract).
@@ -81,17 +77,15 @@ func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.
 	if err != nil {
 		t.Fatalf("%s: index forest: %v", tag, err)
 	}
-	for _, be := range allBackends {
-		res, err := pl.Exec(ctx, fShipped, plan.ExecOptions{Backend: be})
-		if err != nil {
-			t.Fatalf("%s: exec %v shipped: %v", tag, be, err)
-		}
-		if !sameNodes(res.Nodes(), wantForest) {
-			t.Fatalf("%s: backend %v diverges on shipped forest:\n got %v\nwant %v",
-				tag, be, paths(res.Nodes()), paths(wantForest))
-		}
-		checks++
+	res, err := pl.Exec(ctx, fShipped, plan.ExecOptions{})
+	if err != nil {
+		t.Fatalf("%s: exec shipped: %v", tag, err)
 	}
+	if !sameNodes(res.Nodes(), wantForest) {
+		t.Fatalf("%s: diverges on shipped forest:\n got %v\nwant %v",
+			tag, paths(res.Nodes()), paths(wantForest))
+	}
+	checks++
 	return checks
 }
 
@@ -104,7 +98,7 @@ func paths(ns []*xmltree.Node) []string {
 }
 
 // TestPlanDiffRandom is the main differential sweep: ≥500 random
-// (query, view, document) instances, every backend, both layouts.
+// (query, view, document) instances, both layouts.
 func TestPlanDiffRandom(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx := context.Background()
@@ -139,8 +133,8 @@ func TestPlanDiffRandom(t *testing.T) {
 // the forest's all-items candidate path in the structural joins. The
 // MCR algorithms reject wildcard queries (outside XP{/,//,[]}), so
 // these compensations are synthetic — the path still matters because
-// the structjoin façade evaluates arbitrary tpq patterns through the
-// same join core.
+// Forest.Evaluate runs arbitrary tpq patterns through the same join
+// core.
 func TestPlanDiffWildcards(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))

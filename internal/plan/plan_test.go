@@ -88,24 +88,6 @@ func TestCompileRejectsNil(t *testing.T) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for _, name := range []string{"auto", "structjoin", "treedp", "stream"} {
-		b, err := ParseBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != name {
-			t.Fatalf("round trip %q -> %v", name, b)
-		}
-	}
-	if _, err := ParseBackend("quantum"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown name")
-	}
-	if Backend(99).String() != "unknown" {
-		t.Fatalf("out-of-range backend String = %q", Backend(99).String())
-	}
-}
-
 func TestForestStats(t *testing.T) {
 	ctx := context.Background()
 	forest := []*xmltree.Document{
@@ -150,37 +132,17 @@ func TestIndexSubtreesNestedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{StructJoin, TreeDP, Stream, Auto} {
-		res, err := pl.Exec(ctx, f, ExecOptions{Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes := res.Nodes()
-		if len(nodes) != 1 || nodes[0].Tag != "b" {
-			t.Fatalf("backend %v: answers %v, want the single b", be, nodes)
-		}
+	res, err := pl.Exec(ctx, f, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := res.Nodes(); len(nodes) != 1 || nodes[0].Tag != "b" {
+		t.Fatalf("answers %v, want the single b", nodes)
 	}
 }
 
-func TestBackendsRecorded(t *testing.T) {
-	ctx := context.Background()
-	f, err := IndexDocument(ctx, mustDoc(t, "<a><b/><c/></a>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Compile(ctx, []*tpq.Pattern{tpq.MustParse("/a/b"), tpq.MustParse("/a/c")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pl.Exec(ctx, f, ExecOptions{Backend: TreeDP, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Backends) != 2 || res.Backends[0] != TreeDP || res.Backends[1] != TreeDP {
-		t.Fatalf("Backends = %v, want [treedp treedp]", res.Backends)
-	}
-}
-
+// The kernel's wildcard candidates (every tree root when pinned, the
+// full position range otherwise) must agree with tpq's tree-DP.
 func TestWildcardAllBackendsAgree(t *testing.T) {
 	ctx := context.Background()
 	d := mustDoc(t, "<a><b><c/></b><d><c/><e/></d></a>")
@@ -188,31 +150,35 @@ func TestWildcardAllBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Compile(ctx, []*tpq.Pattern{tpq.MustParse("/a/*/c")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*xmltree.Node
-	for _, be := range []Backend{TreeDP, StructJoin, Stream, Auto} {
-		res, err := pl.Exec(ctx, f, ExecOptions{Backend: be})
+	for _, expr := range []string{"/a/*/c", "/*/d/*", "//*/c", "/*//*"} {
+		p := tpq.MustParse(expr)
+		pl, err := Compile(ctx, []*tpq.Pattern{p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Nodes()
-		if be == TreeDP {
-			want = got
-			if len(want) != 2 {
-				t.Fatalf("wildcard answers = %d, want 2", len(want))
-			}
-			continue
+		res, err := pl.Exec(ctx, f, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := p.EvaluateAt(d, d.Root)
+		if expr == "/a/*/c" && len(want) != 2 {
+			t.Fatalf("wildcard answers = %d, want 2", len(want))
+		}
+		got := res.Nodes()
 		if len(got) != len(want) {
-			t.Fatalf("backend %v: %d answers, TreeDP found %d", be, len(got), len(want))
+			t.Fatalf("%s: kernel found %d answers, tree-DP %d", expr, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("backend %v diverges at %d", be, i)
+				t.Fatalf("%s: kernel diverges from tree-DP at %d", expr, i)
 			}
+		}
+		// The general entry point honors the pattern's own root axis.
+		if got, err = f.Evaluate(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+		if want = p.Evaluate(d); !slices.Equal(got, want) {
+			t.Fatalf("%s: Evaluate = %d answers, tree-DP %d", expr, len(got), len(want))
 		}
 	}
 }
@@ -248,7 +214,7 @@ func TestEvaluateIndexedMatchesEvaluate(t *testing.T) {
 	}
 	for _, expr := range []string{"/a", "//b", "//b/c", "/a//c", "//c[b]", "//*[c]/c"} {
 		p := tpq.MustParse(expr)
-		got, err := EvaluateIndexed(ctx, f, p)
+		got, err := f.Evaluate(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,23 +30,16 @@ type answerResponse struct {
 }
 
 // planJSON summarizes the compiled answer plan a request executed: how
-// many compensation programs it unions and which backend ran each.
+// many compensation programs it unions.
 type planJSON struct {
-	Programs int      `json:"programs"`
-	Backends []string `json:"backends,omitempty"`
+	Programs int `json:"programs"`
 }
 
-func buildPlanJSON(pl *plan.Plan, exec *plan.ExecResult) *planJSON {
+func buildPlanJSON(pl *plan.Plan) *planJSON {
 	if pl == nil {
 		return nil
 	}
-	pj := &planJSON{Programs: pl.Programs()}
-	if exec != nil {
-		for _, b := range exec.Backends {
-			pj.Backends = append(pj.Backends, b.String())
-		}
-	}
-	return pj
+	return &planJSON{Programs: pl.Programs()}
 }
 
 // answerList is the source of the answers array: each answer's
@@ -128,17 +121,6 @@ func appendAnswer(b []byte, resp *answerResponse, answers answerList) []byte {
 	if pj := resp.Plan; pj != nil {
 		b = append(b, ",\n  \"plan\": {\n    \"programs\": "...)
 		b = strconv.AppendInt(b, int64(pj.Programs), 10)
-		if len(pj.Backends) > 0 {
-			b = append(b, ",\n    \"backends\": ["...)
-			for i, name := range pj.Backends {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = append(b, "\n      "...)
-				b = appendJSONString(b, name)
-			}
-			b = append(b, "\n    ]"...)
-		}
 		b = append(b, "\n  }"...)
 	}
 	if resp.Partial {

@@ -123,9 +123,6 @@ func TestAnswerWriterMatchesEncoder(t *testing.T) {
 		}
 		if rng.Intn(3) > 0 {
 			pj := &planJSON{Programs: rng.Intn(4)}
-			for j := rng.Intn(3); j > 0; j-- {
-				pj.Backends = append(pj.Backends, randomString(rng))
-			}
 			want.Plan, resp.Plan = pj, pj
 		}
 		if rng.Intn(2) == 0 {
@@ -165,7 +162,7 @@ func TestAnswerHandlerMatchesEncoder(t *testing.T) {
 	for _, q := range []string{"//Trials//Trial/Patient", "//Trials//Trial[Status]/Patient", "//Trials//Trial"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/answer", strings.NewReader(`{"query":"`+q+`","viewName":"tricky"}`)))
-		sa, err := eng.AnswerStoredExpr(ctx, q, "tricky", "")
+		sa, err := eng.AnswerStoredView(ctx, tpq.MustParse(q), "tricky")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +170,7 @@ func TestAnswerHandlerMatchesEncoder(t *testing.T) {
 			Union:     sa.Result.Union.String(),
 			ViewTrees: sa.Trees,
 			Answers:   []encoderAnswer{},
-			Plan:      buildPlanJSON(sa.Plan, sa.Exec),
+			Plan:      buildPlanJSON(sa.Plan),
 		}
 		for _, n := range sa.Answers() {
 			want.Answers = append(want.Answers, encoderAnswer{Path: n.Path(), Text: n.Text})
@@ -193,7 +190,11 @@ nl</Patient></Trial></Trials></Lab>`
 	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/answer", bytes.NewReader(body)))
-	ans, err := eng.AnswerExpr(ctx, engine.AnswerRequest{Query: "//Trials//Trial/Patient", View: "//Trials//Trial", Document: doc})
+	d, err := xmltree.ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := eng.AnswerDoc(ctx, engine.Request{Query: tpq.MustParse("//Trials//Trial/Patient"), View: tpq.MustParse("//Trials//Trial")}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ nl</Patient></Trial></Trials></Lab>`
 		ViewNodes:  len(ans.ViewNodes),
 		DirectSize: len(ans.Direct),
 		Answers:    []encoderAnswer{},
-		Plan:       buildPlanJSON(ans.Plan, ans.Exec),
+		Plan:       buildPlanJSON(ans.Plan),
 	}
 	for _, n := range ans.Answers() {
 		want.Answers = append(want.Answers, encoderAnswer{Path: n.Path(), Text: n.Text})

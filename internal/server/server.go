@@ -4,11 +4,12 @@
 //
 //	POST /v1/rewrite        {query, view, schema?, recursive?}
 //	POST /v1/rewrite/batch  {items: [{query, view, schema?, recursive?}, ...]}
-//	POST /v1/answer   {query, view, document, schema?, backend?}
-//	POST /v1/answer   {query, viewName, backend?}   (stored-view mode)
+//	POST /v1/answer   {query, view, document, schema?}
+//	POST /v1/answer   {query, viewName}   (stored-view mode)
 //	POST /v1/contain  {p, q, schema?}
 //	POST /v1/views    {name, view, document}
-//	GET  /v1/views
+//	GET  /v1/views            (every registered name, plus catalog stats)
+//	GET  /v1/views?q=…&k=…    (catalog stats and the top-k candidate views)
 //	GET  /v1/stats
 //	GET  /v1/slowlog
 //	GET  /metrics
@@ -17,15 +18,16 @@
 // /v1/answer runs the compiled answer-plan pipeline (see
 // internal/plan): the MCR's compensations are compiled once per
 // canonical CR union (cached), the view forest is indexed, and the
-// plan executes with the structural-join kernel ("auto"), or with the
-// per-tree DP or streaming evaluator when the request's backend field
-// names them. The answers array is written straight from the forest's
-// columns (see writeAnswer). In stored-view mode the document never
-// travels: the query is answered from the forest a source shipped to
-// POST /v1/views.
+// plan executes with the structural-join kernel. The answers array is
+// written straight from the forest's columns (see writeAnswer). In
+// stored-view mode the document never travels: the query is answered
+// from the forest a source shipped to POST /v1/views.
 //
-// The handlers are thin JSON adapters over internal/engine: one shared
-// Engine carries the rewrite cache (singleflight-deduplicated), the
+// The handlers are thin JSON adapters over internal/engine. Every
+// pattern text a handler receives — other than a view being registered,
+// which keeps its client's spelling — goes through the engine's one
+// parse step (engine.Parse, over its interner). One shared Engine
+// carries the rewrite cache (singleflight-deduplicated), the
 // per-schema constraint contexts, and the enumeration budget. Each
 // request's context is threaded into the pipeline, so a client
 // disconnect or server deadline stops an exponential enumeration.
@@ -57,6 +59,7 @@ import (
 	"qav/internal/rewrite"
 	"qav/internal/tpq"
 	"qav/internal/viewstore"
+	"qav/internal/xmltree"
 )
 
 // faultHandler fires at the top of every instrumented endpoint (no-op
@@ -257,14 +260,27 @@ func (s *Service) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	res, err := s.eng.RewriteExpr(r.Context(), engine.RewriteRequest{
-		Query: req.Query, View: req.View, Schema: req.Schema, Recursive: req.Recursive,
-	})
+	parsed, err := s.parseRewrite(req)
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	res, err := s.eng.Rewrite(r.Context(), parsed)
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, buildRewriteResponse(res))
+}
+
+// parseRewrite parses a rewrite request's texts through the engine.
+func (s *Service) parseRewrite(req rewriteRequest) (engine.Request, error) {
+	pats, g, err := s.eng.Parse(req.Schema,
+		engine.Field{Name: "query", Text: req.Query}, engine.Field{Name: "view", Text: req.View})
+	if err != nil {
+		return engine.Request{}, err
+	}
+	return engine.Request{Query: pats[0], View: pats[1], Schema: g, Recursive: req.Recursive}, nil
 }
 
 func buildRewriteResponse(res *rewrite.Result) rewriteResponse {
@@ -328,15 +344,19 @@ func (s *Service) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d items exceeds the limit of %d", len(req.Items), maxBatchItems))
 		return
 	}
-	reqs := make([]engine.RewriteRequest, len(req.Items))
+	resp := batchRewriteResponse{Items: make([]batchItemResponse, len(req.Items))}
+	reqs := make([]engine.Request, 0, len(req.Items))
+	at := make([]int, 0, len(req.Items)) // reqs index → item index
 	for i, it := range req.Items {
-		reqs[i] = engine.RewriteRequest{
-			Query: it.Query, View: it.View, Schema: it.Schema, Recursive: it.Recursive,
+		parsed, err := s.parseRewrite(it)
+		if err != nil {
+			resp.Items[i] = batchItemResponse{Status: statusFor(err), Error: err.Error()}
+			continue
 		}
+		reqs = append(reqs, parsed)
+		at = append(at, i)
 	}
-	outs := s.eng.RewriteBatch(r.Context(), reqs)
-	resp := batchRewriteResponse{Items: make([]batchItemResponse, len(outs))}
-	for i, o := range outs {
+	for j, o := range s.eng.RewriteBatch(r.Context(), reqs) {
 		item := batchItemResponse{Status: http.StatusOK, Shared: o.Shared}
 		if o.Err != nil {
 			item.Status = statusFor(o.Err)
@@ -344,7 +364,7 @@ func (s *Service) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 		} else {
 			item.rewriteResponse = buildRewriteResponse(o.Result)
 		}
-		resp.Items[i] = item
+		resp.Items[at[j]] = item
 	}
 	writeJSON(w, resp)
 }
@@ -358,9 +378,6 @@ type answerRequest struct {
 	// forest registered under this name (POST /v1/views) and View,
 	// Document and Schema must be absent.
 	ViewName string `json:"viewName,omitempty"`
-	// Backend forces the plan execution backend ("structjoin", "treedp",
-	// "stream"); empty or "auto" means structjoin.
-	Backend string `json:"backend,omitempty"`
 }
 
 func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -375,7 +392,12 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 				errors.New("viewName is exclusive with view, document and schema"))
 			return
 		}
-		sa, err := s.eng.AnswerStoredExpr(r.Context(), req.Query, req.ViewName, req.Backend)
+		pats, _, err := s.eng.Parse("", engine.Field{Name: "query", Text: req.Query})
+		if err != nil {
+			httpError(w, statusFor(err), err)
+			return
+		}
+		sa, err := s.eng.AnswerStoredView(r.Context(), pats[0], req.ViewName)
 		if err != nil {
 			httpError(w, statusFor(err), err)
 			return
@@ -385,14 +407,21 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 			ViewTrees:     sa.Trees,
 			Partial:       sa.Result.Partial,
 			PartialReason: string(sa.Result.PartialReason),
-			Plan:          buildPlanJSON(sa.Plan, sa.Exec),
+			Plan:          buildPlanJSON(sa.Plan),
 		}, execAnswers{sa.Exec})
 		return
 	}
-	ans, err := s.eng.AnswerExpr(r.Context(), engine.AnswerRequest{
-		Query: req.Query, View: req.View, Document: req.Document,
-		Schema: req.Schema, Backend: req.Backend,
-	})
+	parsed, err := s.parseRewrite(rewriteRequest{Query: req.Query, View: req.View, Schema: req.Schema})
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	d, err := xmltree.ParseString(req.Document)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, &engine.InvalidRequestError{Field: "document", Err: err})
+		return
+	}
+	ans, err := s.eng.AnswerDoc(r.Context(), parsed, d)
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -403,7 +432,7 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		DirectSize:    len(ans.Direct),
 		Partial:       ans.Result.Partial,
 		PartialReason: string(ans.Result.PartialReason),
-		Plan:          buildPlanJSON(ans.Plan, ans.Exec),
+		Plan:          buildPlanJSON(ans.Plan),
 	}, execAnswers{ans.Exec})
 }
 
@@ -421,62 +450,90 @@ type registerViewResponse struct {
 
 // handleRegisterView materializes the view over the document and stores
 // the resulting forest under the given name — the source side of the
-// integration scenario, shipping a view to the mediator.
+// integration scenario, shipping a view to the mediator. Every
+// validation failure is the client's 400.
 func (s *Service) handleRegisterView(w http.ResponseWriter, r *http.Request) {
 	var req registerViewRequest
 	if err := decode(w, r, &req); err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	m, err := s.eng.RegisterViewExpr(req.Name, req.View, req.Document)
+	m, err := shipView(req)
 	if err != nil {
-		httpError(w, registerStatusFor(err), err)
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.eng.RegisterView(req.Name, m)
 	writeJSON(w, registerViewResponse{Name: req.Name, Trees: len(m.Forest), Nodes: m.Size()})
+}
+
+// shipView validates a registration and materializes its view. The
+// view text is parsed plainly, not through engine.Parse, so the stored
+// expression keeps the spelling the source sent.
+func shipView(req registerViewRequest) (*viewstore.Materialized, error) {
+	if req.Name == "" {
+		return nil, &engine.InvalidRequestError{Field: "name", Err: errors.New("empty view name")}
+	}
+	v, err := tpq.Parse(req.View)
+	if err != nil {
+		return nil, &engine.InvalidRequestError{Field: "view", Err: err}
+	}
+	d, err := xmltree.ParseString(req.Document)
+	if err != nil {
+		return nil, &engine.InvalidRequestError{Field: "document", Err: err}
+	}
+	return viewstore.Materialize(v, d), nil
 }
 
 type listViewsResponse struct {
 	Views []string               `json:"views"`
 	Stats viewstore.CatalogStats `json:"stats"`
-	// Selected is present when the request carried ?q=: the catalog's
-	// top-k candidate views for that query, ranked by signature
-	// tightness (?k= caps the list, default 10, 0 = all candidates).
-	Selected []viewstore.SelectedView `json:"selected,omitempty"`
+}
+
+// selectViewsResponse answers GET /v1/views?q=: the catalog's top-k
+// candidate views for the query, ranked by signature tightness (?k=
+// caps the list, default 10, 0 = all candidates). It carries no name
+// list: a select is a per-query call, and listing a large catalog
+// would dominate its cost.
+type selectViewsResponse struct {
+	Stats    viewstore.CatalogStats   `json:"stats"`
+	Selected []viewstore.SelectedView `json:"selected"`
 }
 
 // handleListViews lists the registered views plus the catalog's
-// statistics. With ?q=<tree pattern> it additionally ranks the
-// signature-index candidates for that query (?k= bounds the list).
+// statistics. With ?q=<tree pattern> it ranks the signature-index
+// candidates for that query instead (?k= bounds the list).
 func (s *Service) handleListViews(w http.ResponseWriter, r *http.Request) {
-	resp := listViewsResponse{Views: s.eng.ViewNames(), Stats: s.eng.ViewStats()}
-	if resp.Views == nil {
-		resp.Views = []string{}
+	qExpr := r.URL.Query().Get("q")
+	if qExpr == "" {
+		resp := listViewsResponse{Views: s.eng.ViewNames(), Stats: s.eng.ViewStats()}
+		if resp.Views == nil {
+			resp.Views = []string{}
+		}
+		writeJSON(w, resp)
+		return
 	}
-	if qExpr := r.URL.Query().Get("q"); qExpr != "" {
-		q, err := tpq.Parse(qExpr)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("q: %w", err))
+	pats, _, err := s.eng.Parse("", engine.Field{Name: "q", Text: qExpr})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	k := 10
+	if ks := r.URL.Query().Get("k"); ks != "" {
+		if k, err = strconv.Atoi(ks); err != nil || k < 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("k: not a non-negative integer: %q", ks))
 			return
 		}
-		k := 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			if k, err = strconv.Atoi(ks); err != nil || k < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("k: not a non-negative integer: %q", ks))
-				return
-			}
-		}
-		sel, err := s.eng.SelectViews(r.Context(), q, k)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		if sel == nil {
-			sel = []viewstore.SelectedView{}
-		}
-		resp.Selected = sel
 	}
-	writeJSON(w, resp)
+	sel, err := s.eng.SelectViews(r.Context(), pats[0], k)
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	if sel == nil {
+		sel = []viewstore.SelectedView{}
+	}
+	writeJSON(w, selectViewsResponse{Stats: s.eng.ViewStats(), Selected: sel})
 }
 
 type containRequest struct {
@@ -496,25 +553,31 @@ func (s *Service) handleContain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	pInQ, qInP, err := s.eng.ContainExpr(r.Context(), engine.ContainRequest{P: req.P, Q: req.Q, Schema: req.Schema})
+	pats, g, err := s.eng.Parse(req.Schema,
+		engine.Field{Name: "p", Text: req.P}, engine.Field{Name: "q", Text: req.Q})
 	if err != nil {
-		httpError(w, containStatusFor(err), err)
+		// Contain's inputs are plain expressions: a parse failure is
+		// the client's 400.
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	pInQ, qInP, err := s.eng.Contain(r.Context(), pats[0], pats[1], g)
+	if err != nil {
+		httpError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, containResponse{PInQ: pInQ, QInP: qInP})
 }
 
-// statusFor maps pipeline errors to HTTP statuses: malformed documents
-// are the client's fault (400), load shedding is 429 (the Retry-After
-// header is added by httpError), recovered panics and injected faults
-// are the server's 500, deadline overruns are reported as a timeout
-// (504), everything else — unparsable expressions, unanswerable
-// queries — is a semantically rejected request (422).
+// statusFor maps pipeline errors to HTTP statuses: load shedding is
+// 429 (the Retry-After header is added by httpError), recovered panics
+// and injected faults are the server's 500, deadline overruns are
+// reported as a timeout (504), everything else — unparsable
+// expressions, unanswerable queries — is a semantically rejected
+// request (422). Malformed documents never get here: the handlers
+// refuse them with 400 themselves.
 func statusFor(err error) int {
-	var inv *engine.InvalidRequestError
 	switch {
-	case errors.As(err, &inv) && inv.Field == "document":
-		return http.StatusBadRequest
 	case errors.Is(err, limits.ErrSaturated):
 		return http.StatusTooManyRequests
 	case errors.Is(err, guard.ErrInternal), errors.Is(err, fault.ErrInjected):
@@ -524,27 +587,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusUnprocessableEntity
 	}
-}
-
-// containStatusFor preserves the contain endpoint's contract: its
-// inputs are plain expressions, so parse failures are 400s.
-func containStatusFor(err error) int {
-	var inv *engine.InvalidRequestError
-	if errors.As(err, &inv) {
-		return http.StatusBadRequest
-	}
-	return statusFor(err)
-}
-
-// registerStatusFor: view registration's inputs (name, view expression,
-// document) are all plain client data, so every validation failure is a
-// 400; pipeline errors keep the shared mapping.
-func registerStatusFor(err error) int {
-	var inv *engine.InvalidRequestError
-	if errors.As(err, &inv) {
-		return http.StatusBadRequest
-	}
-	return statusFor(err)
 }
 
 // decode parses exactly one JSON object from the request body. A body

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -580,8 +581,8 @@ func TestRegisterAndAnswerStoredView(t *testing.T) {
 	if !ok || pl["programs"].(float64) < 1 {
 		t.Fatalf("plan = %v", out["plan"])
 	}
-	if _, ok := pl["backends"].([]any); !ok {
-		t.Fatalf("plan backends missing: %v", pl)
+	if len(pl) != 1 {
+		t.Fatalf("plan = %v, want only programs", pl)
 	}
 
 	// Unknown stored view is a semantic rejection, not a crash.
@@ -591,23 +592,109 @@ func TestRegisterAndAnswerStoredView(t *testing.T) {
 	}
 }
 
-func TestAnswerBackendField(t *testing.T) {
+// There is no plan-backend option: a body naming one carries an
+// unknown field, which the strict decoder refuses in both answer modes.
+func TestAnswerBackendFieldRejected(t *testing.T) {
 	h := New()
-	doc := `<a><b><c/></b></a>`
-	for _, be := range []string{"structjoin", "treedp", "stream", "auto"} {
-		rec, out := post(t, h, "/v1/answer",
-			`{"query":"//a//c","view":"//a//b","document":"`+doc+`","backend":"`+be+`"}`)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("backend %s: status %d: %s", be, rec.Code, rec.Body.String())
-		}
-		if len(out["answers"].([]any)) != 1 {
-			t.Fatalf("backend %s: answers = %v", be, out["answers"])
+	for _, body := range []string{
+		`{"query":"//a//c","view":"//a//b","document":"<a><b><c/></b></a>","backend":"structjoin"}`,
+		`{"query":"//a//c","viewName":"v","backend":"treedp"}`,
+	} {
+		rec, out := post(t, h, "/v1/answer", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(out["error"].(string), "backend") {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body.String())
 		}
 	}
-	rec, _ := post(t, h, "/v1/answer",
-		`{"query":"//a//c","view":"//a//b","document":"`+doc+`","backend":"warp"}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("bad backend: status %d", rec.Code)
+}
+
+// GET /v1/views lists every name with the catalog stats; with ?q= it
+// serves only the stats and the selection, never the name list.
+func TestListViewsReplyShapes(t *testing.T) {
+	h := New()
+	get := func(target string) map[string]any {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.String())
+		}
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	keys := func(m map[string]any) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, ",")
+	}
+	if out := get("/v1/views"); keys(out) != "stats,views" || len(out["views"].([]any)) != 0 {
+		t.Fatalf("empty listing = %v", out)
+	}
+	if out := get("/v1/views?q=//a"); keys(out) != "selected,stats" || len(out["selected"].([]any)) != 0 {
+		t.Fatalf("empty select = %v", out)
+	}
+	for _, name := range []string{"v1", "v2", "v3"} {
+		if rec, _ := post(t, h, "/v1/views", `{"name":"`+name+`","view":"//a//b","document":"<a><b/></a>"}`); rec.Code != http.StatusOK {
+			t.Fatalf("register %s: status %d", name, rec.Code)
+		}
+	}
+	if out := get("/v1/views"); keys(out) != "stats,views" || len(out["views"].([]any)) != 3 {
+		t.Fatalf("listing = %v", out)
+	}
+	out := get("/v1/views?q=//a//b&k=2")
+	if keys(out) != "selected,stats" || len(out["selected"].([]any)) != 2 {
+		t.Fatalf("select = %v", out)
+	}
+	if st := out["stats"].(map[string]any); st["views"].(float64) != 3 {
+		t.Fatalf("select stats = %v", st)
+	}
+}
+
+// Every pattern text a handler receives, other than a view being
+// registered, parses through the engine's interner: a repeated
+// stored-view answer, contain or select with identical text is an
+// intern hit and never a second parse.
+func TestRepeatedTextHitsInterner(t *testing.T) {
+	eng := engine.New(engine.Config{CacheSize: 16})
+	h := NewWith(eng)
+	if rec, _ := post(t, h, "/v1/views", `{"name":"src","view":"//Trials//Trial","document":"<Trials><Trial><Patient/></Trial></Trials>"}`); rec.Code != http.StatusOK {
+		t.Fatalf("register: status %d", rec.Code)
+	}
+	for _, tc := range []struct {
+		name string
+		send func() int
+	}{
+		{"stored answer", func() int {
+			rec, _ := post(t, h, "/v1/answer", `{"query":"//Trials//Trial/Patient","viewName":"src"}`)
+			return rec.Code
+		}},
+		{"contain", func() int {
+			rec, _ := post(t, h, "/v1/contain", `{"p":"//x/y","q":"//x//y","schema":"root x\nx -> y*\ny ->"}`)
+			return rec.Code
+		}},
+		{"select", func() int {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/views?q=//Trials//Trial/Status", nil))
+			return rec.Code
+		}},
+	} {
+		if code := tc.send(); code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, code)
+		}
+		before := eng.Stats()
+		if code := tc.send(); code != http.StatusOK {
+			t.Fatalf("%s repeated: status %d", tc.name, code)
+		}
+		after := eng.Stats()
+		if after.InternHits <= before.InternHits || after.InternMisses != before.InternMisses {
+			t.Errorf("%s repeated: intern hits %d -> %d, misses %d -> %d; want more hits and no new misses",
+				tc.name, before.InternHits, after.InternHits, before.InternMisses, after.InternMisses)
+		}
 	}
 }
 

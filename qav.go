@@ -6,10 +6,10 @@ import (
 	"sync"
 
 	"qav/internal/engine"
+	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/schema"
 	"qav/internal/stream"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/viewselect"
 	"qav/internal/viewstore"
@@ -224,12 +224,22 @@ func ReadShippedView(r io.Reader) (*MaterializedView, error) {
 }
 
 // DocumentIndex is an inverted element index supporting structural-join
-// evaluation of patterns — an alternative engine to Pattern.Evaluate
-// that is profitable when the pattern's tags are selective.
-type DocumentIndex = structjoin.Index
+// evaluation of patterns (DocumentIndex.Evaluate) — an alternative
+// engine to Pattern.Evaluate that is profitable when the pattern's tags
+// are selective. It is the single-tree case of the columnar forest the
+// compiled answer plans execute over.
+type DocumentIndex = plan.Forest
 
-// BuildIndex indexes a document for structural-join evaluation.
-func BuildIndex(d *Document) *DocumentIndex { return structjoin.Build(d) }
+// BuildIndex indexes a document for structural-join evaluation. O(|D|).
+func BuildIndex(d *Document) *DocumentIndex {
+	f, err := plan.IndexDocument(context.Background(), d)
+	if err != nil {
+		// Indexing fails only on cancellation, which the Background
+		// context never signals, or on a document beyond 2^31 nodes.
+		panic("qav: " + err.Error())
+	}
+	return f
+}
 
 // ViewSource names one source's view for multi-view rewriting.
 type ViewSource = rewrite.ViewSource

@@ -190,8 +190,8 @@ func TestPublicAPIIndex(t *testing.T) {
 	if ix.Cardinality("Patient") != 3 {
 		t.Error("cardinality wrong")
 	}
-	if ix.Doc() != d {
-		t.Error("Doc() lost the document")
+	if ix.Trees() != 1 || ix.Node(0) != d.Root {
+		t.Error("the index lost the document root")
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"qav/internal/schema"
 	"qav/internal/server"
 	"qav/internal/stream"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/workload"
 	"qav/internal/xmltree"
@@ -76,7 +75,7 @@ func TestSoakEndToEndPipeline(t *testing.T) {
 		}
 
 		// All three engines agree on both q and v.
-		ix := structjoin.Build(d)
+		ix := qav.BuildIndex(d)
 		xmlSrc := d.XMLString()
 		for _, p := range []*tpq.Pattern{q, v} {
 			mem := p.Evaluate(d)
