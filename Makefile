@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xmltree -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzRewriteRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzAffinityKey$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -rf bin

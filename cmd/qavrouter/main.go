@@ -8,7 +8,7 @@
 //	curl -s localhost:8090/v1/cluster   # per-replica breaker/health/load state
 //	curl -s localhost:8090/metrics      # router stages + per-replica attempt metrics
 //
-// The default policy is canonical-affinity: requests are routed by
+// The routing policy is canonical-affinity: requests are routed by
 // rendezvous hashing on the canonical pattern key, so each replica's
 // rewrite cache (in-memory LRU + persistent warm tier) accumulates
 // hits for its share of the keyspace, with automatic spill when the
@@ -37,14 +37,12 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated qavd base URLs (required)")
-	policy := flag.String("policy", "affinity", "routing policy: affinity, roundrobin or leastloaded")
 	seed := flag.Int64("seed", 1, "seed for jittered durations (breaker cooldowns, retry backoff)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health probe spacing per replica (jittered)")
 	attemptTimeout := flag.Duration("attempt-timeout", 10*time.Second, "per-attempt deadline against a replica")
 	retries := flag.Int("retries", 2, "backoff rounds after the first pass over the replicas")
 	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "base retry backoff (doubled per round, jittered, capped)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge idempotent requests after this delay (0 = hedging off); the tracked tail quantile raises it")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.9, "attempt-latency quantile that paces hedges")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that open a replica's breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "open-state dwell before a half-open probe (jittered)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
@@ -56,14 +54,12 @@ func main() {
 	}
 	rt, err := router.New(router.Config{
 		Replicas:         strings.Split(*replicas, ","),
-		Policy:           *policy,
 		Seed:             *seed,
 		ProbeInterval:    *probeInterval,
 		AttemptTimeout:   *attemptTimeout,
 		Retries:          *retries,
 		RetryBackoff:     *retryBackoff,
 		HedgeAfter:       *hedgeAfter,
-		HedgeQuantile:    *hedgeQuantile,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 	})
@@ -83,8 +79,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("qavrouter listening on %s, %d replicas, policy=%s",
-		*addr, len(strings.Split(*replicas, ",")), *policy)
+	log.Printf("qavrouter listening on %s, %d replicas", *addr, len(strings.Split(*replicas, ",")))
 
 	select {
 	case err := <-errc:

@@ -33,30 +33,6 @@ func (p *roundRobin) order(key string, reps []*replica) []int {
 	return out
 }
 
-// leastLoaded ranks replicas by queueing pressure: the router's own
-// in-flight count toward the replica plus the replica's last-reported
-// load (handler in-flight + gate queue depth from /healthz). Ties
-// break by index so the ranking is deterministic.
-type leastLoaded struct{}
-
-func (leastLoaded) name() string { return "leastloaded" }
-
-func (leastLoaded) order(key string, reps []*replica) []int {
-	out := make([]int, len(reps))
-	load := make([]int64, len(reps))
-	for i, rep := range reps {
-		out[i] = i
-		load[i] = rep.inflight.Load()
-		if h := rep.health.Load(); h != nil {
-			load[i] += h.InFlight + h.Queued
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return load[out[a]] < load[out[b]]
-	})
-	return out
-}
-
 // affinity implements rendezvous (highest-random-weight) hashing on
 // the canonical pattern key: every (replica, key) pair gets a hash
 // score and the replicas are ranked by score, so each canonical query
@@ -84,21 +60,6 @@ func (a *affinity) order(key string, reps []*replica) []int {
 		return score[out[x]] > score[out[y]]
 	})
 	return out
-}
-
-// rendezvousRank is the pure ranking function behind the affinity
-// policy, exposed for the stability regression test: it returns the
-// index in names of the top-ranked owner for key.
-func rendezvousRank(names []string, key string) int {
-	hk := fnv64a(key)
-	best, bestScore := 0, uint64(0)
-	for i, name := range names {
-		s := splitmix64(fnv64a(name) ^ hk)
-		if i == 0 || s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
 }
 
 // fnv64a is the 64-bit FNV-1a hash.
@@ -137,12 +98,10 @@ func newRNG(seed int64) *rng { return &rng{s: uint64(seed)} }
 
 func (r *rng) next() uint64 {
 	r.mu.Lock()
-	r.s += 0x9e3779b97f4a7c15
 	x := r.s
+	r.s += 0x9e3779b97f4a7c15
 	r.mu.Unlock()
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return splitmix64(x)
 }
 
 // jitter returns a duration uniformly in [d/2, d): full-jitter-style

@@ -7,25 +7,26 @@
 // The moving pieces:
 //
 //   - a replica registry with active health probing (GET /healthz on
-//     each replica, which since the drain change reports inflight,
-//     queue depth and warm-cache load) plus passive signals
-//     (consecutive errors, timeouts) feeding per-replica circuit
-//     breakers (closed → open → half-open, seeded-jitter cooldowns);
-//   - pluggable routing policies: round-robin, least-loaded (from the
-//     health payload's load report), and canonical-affinity via
-//     rendezvous hashing on the canonical pattern key — the policy
-//     that makes each replica's LRU + persistent warm tier actually
-//     hit, with automatic spill to the next-ranked replica when the
-//     owner is open, draining or saturated;
-//   - a retry layer: per-attempt timeouts, capped exponential backoff
-//     with deterministic seeded jitter, Retry-After-aware 429
-//     handling (a saturated replica is skipped until its own horizon,
-//     never counted as a breaker failure), and retries only where
-//     they are safe — idempotent requests, or connect-class errors
-//     where the request provably never reached a handler;
-//   - hedged requests for the latency tail: after a quantile-tracked
-//     delay a second attempt launches on the next-ranked healthy
-//     replica, the first success wins and the loser is cancelled;
+//     each replica, which reports drain state and load) plus passive
+//     signals (consecutive errors, timeouts) feeding per-replica
+//     circuit breakers (closed → open → half-open, seeded-jitter
+//     cooldowns);
+//   - two routing policies: canonical-affinity via rendezvous hashing
+//     on the canonical pattern key — the policy that makes each
+//     replica's LRU + persistent warm tier actually hit, with
+//     automatic spill to the next-ranked replica when the owner is
+//     open, draining or saturated — and round-robin, the baseline
+//     affinity is measured against;
+//   - one attempt loop: retry rounds over the ranked candidates, each
+//     tried at most once per round under a per-attempt timeout, with
+//     capped exponential backoff and seeded jitter between rounds. A
+//     429 only skips the replica until its Retry-After horizon (never
+//     a breaker failure), and a failure is retried elsewhere only when
+//     that is safe: idempotent requests, or connect-class errors where
+//     the request provably never reached a handler. Hedging for the
+//     latency tail lives in the same loop: after a quantile-tracked
+//     delay the next candidate starts beside the slow one, the first
+//     final answer wins and the loser is cancelled;
 //   - graceful drain on both layers: a replica reporting "draining"
 //     stops receiving new work while its in-flight requests finish.
 //
@@ -44,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -72,8 +74,8 @@ var (
 type Config struct {
 	// Replicas are the base URLs of the qavd fleet ("http://host:port").
 	Replicas []string
-	// Policy picks the routing policy: "affinity" (default),
-	// "roundrobin" or "leastloaded".
+	// Policy picks the routing policy: "affinity" (default) or
+	// "roundrobin".
 	Policy string
 	// Seed drives every jittered duration (breaker cooldowns, retry
 	// backoff) and makes chaos runs reproducible. 0 means seed 1.
@@ -90,21 +92,16 @@ type Config struct {
 	// round, jittered, capped at 40× base.
 	RetryBackoff time.Duration
 	// HedgeAfter enables hedged requests: when an attempt has not
-	// answered after max(HedgeAfter, tracked HedgeQuantile latency), a
+	// answered after max(HedgeAfter, tracked hedgeQuantile latency), a
 	// second attempt launches on the next candidate. 0 disables
 	// hedging.
 	HedgeAfter time.Duration
-	// HedgeQuantile is the attempt-latency quantile that paces hedges
-	// once enough samples exist (default 0.9).
-	HedgeQuantile float64
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// replica's breaker (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is the open-state dwell before a half-open probe
 	// (default 2s, jittered).
 	BreakerCooldown time.Duration
-	// MaxBodyBytes bounds buffered request bodies (default 16 MiB).
-	MaxBodyBytes int64
 	// Transport performs the attempts (default http.DefaultTransport).
 	// Tests and qavbench install a HandlerTransport here.
 	Transport http.RoundTripper
@@ -135,17 +132,11 @@ func (c *Config) withDefaults() Config {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 25 * time.Millisecond
 	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.9
-	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 3
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = http.DefaultTransport
@@ -155,6 +146,14 @@ func (c *Config) withDefaults() Config {
 	}
 	return cfg
 }
+
+// maxBodyBytes bounds the request and response bodies the router
+// buffers; it matches qavd's own request-body bound.
+const maxBodyBytes = 16 << 20
+
+// hedgeQuantile is the attempt-latency quantile that paces hedges once
+// enough samples exist.
+const hedgeQuantile = 0.9
 
 // loadReport is the slice of the replica /healthz payload the router
 // consumes (a structural mirror of server.HealthPayload, kept local so
@@ -171,7 +170,7 @@ type loadReport struct {
 }
 
 // replica is one registry entry: identity, breaker, and the passive +
-// probed health state the policies read.
+// probed health state the proxy reads.
 type replica struct {
 	name     string // authority part of the base URL; the routing identity
 	nameHash uint64 // fnv64a(name), precomputed for rendezvous scoring
@@ -180,14 +179,12 @@ type replica struct {
 	ep       *obs.Endpoint // per-replica attempt metrics ("replica:<name>")
 
 	inflight   atomic.Int64               // router-side attempts in flight
-	consecErrs atomic.Int64               // passive failure streak
 	attempts   atomic.Int64               // total attempts routed here
 	timeouts   atomic.Int64               // attempts lost to deadline
 	satUntilNs atomic.Int64               // Retry-After horizon (unix nanos)
 	draining   atomic.Bool                // last probe reported draining
 	probeOK    atomic.Bool                // last probe succeeded
 	health     atomic.Pointer[loadReport] // last successful probe payload
-	lastProbe  atomic.Int64               // unix nanos of last probe
 }
 
 // available reports whether the proxy may try this replica now:
@@ -243,7 +240,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:   cfg,
 		reg:   cfg.Metrics,
 		rng:   newRNG(cfg.Seed),
-		hedge: newLatencyTracker(cfg.HedgeQuantile),
+		hedge: &latencyTracker{},
 		stop:  make(chan struct{}),
 	}
 	switch cfg.Policy {
@@ -251,10 +248,8 @@ func New(cfg Config) (*Router, error) {
 		r.policy = &affinity{}
 	case "roundrobin":
 		r.policy = &roundRobin{}
-	case "leastloaded":
-		r.policy = leastLoaded{}
 	default:
-		return nil, fmt.Errorf("router: unknown policy %q (want affinity, roundrobin or leastloaded)", cfg.Policy)
+		return nil, fmt.Errorf("router: unknown policy %q (want affinity or roundrobin)", cfg.Policy)
 	}
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, raw := range cfg.Replicas {
@@ -374,47 +369,40 @@ func (r *Router) probeLoop(rep *replica) {
 	}
 }
 
-// probeOnce performs one health probe against rep.
+// probeOnce performs one health probe against rep and classifies it
+// once: a 200 closes the breaker, an orderly drain only stops routing
+// there, and anything else — including an unreachable replica —
+// charges the breaker.
 func (r *Router) probeOnce(rep *replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeInterval)
 	defer cancel()
-	rep.lastProbe.Store(time.Now().UnixNano())
-	if err := faultProbe.Hit(ctx); err != nil {
-		rep.probeOK.Store(false)
-		rep.br.Failure(time.Now())
-		return
+	code, draining := 0, false
+	if faultProbe.Hit(ctx) == nil {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base.JoinPath("/healthz").String(), nil)
+		var resp *http.Response
+		if err == nil {
+			resp, err = r.cfg.Transport.RoundTrip(req)
+		}
+		if err == nil {
+			var lr loadReport
+			if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&lr); err == nil {
+				rep.health.Store(&lr)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			code, draining = resp.StatusCode, lr.Draining
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base.JoinPath("/healthz").String(), nil)
-	if err != nil {
-		rep.probeOK.Store(false)
-		return
-	}
-	resp, err := r.cfg.Transport.RoundTrip(req)
-	if err != nil {
-		rep.probeOK.Store(false)
-		rep.br.Failure(time.Now())
-		return
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	var lr loadReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&lr); err == nil {
-		rep.health.Store(&lr)
-	}
+	rep.probeOK.Store(code == http.StatusOK)
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		rep.probeOK.Store(true)
+	case code == http.StatusOK:
 		rep.draining.Store(false)
 		rep.br.Success(time.Now())
-	case resp.StatusCode == http.StatusServiceUnavailable && lr.Draining:
+	case code == http.StatusServiceUnavailable && draining:
 		// An orderly drain is not a fault: stop routing there but do
 		// not charge the breaker — the replica is finishing its work.
-		rep.probeOK.Store(false)
 		rep.draining.Store(true)
 	default:
-		rep.probeOK.Store(false)
 		rep.br.Failure(time.Now())
 	}
 }
@@ -434,21 +422,29 @@ func idempotent(req *http.Request) bool {
 	return false
 }
 
-// isConnectErr reports whether err happened before the request could
-// have reached a handler (dial refused / replica down), making a
-// retry safe even for non-idempotent requests.
-func isConnectErr(err error) bool {
+// outcome is an attempt's classification, made once in attempt: it
+// drives the replica's breaker and saturation bookkeeping there and
+// the retry decision in route.
+type outcome uint8
+
+const (
+	final     outcome = iota // the client's answer: a response, or a failure no replica may retry
+	saturated                // a 429: skip the replica until its Retry-After horizon
+	failed                   // a failure the next candidate may safely retry
+)
+
+// failure classifies a failed attempt: another replica may retry it
+// when the endpoint is idempotent or err is connect-class, so the
+// request never reached a handler — the test fabric's *DownError, or
+// the *net.OpError with Op "dial" net/http reports for a refused
+// connection or an unknown host. Otherwise the failure is final.
+func failure(idem bool, err error) outcome {
 	var de *DownError
-	if errors.As(err, &de) {
-		return true
+	var oe *net.OpError
+	if idem || errors.As(err, &de) || errors.As(err, &oe) && oe.Op == "dial" {
+		return failed
 	}
-	// net/http wraps dial failures in *url.Error around a *net.OpError
-	// with Op "dial"; matching on the message keeps the classifier
-	// transport-agnostic (the test fabric returns *DownError instead).
-	s := err.Error()
-	return strings.Contains(s, "connection refused") ||
-		strings.Contains(s, "no such host") ||
-		strings.Contains(s, "dial tcp")
+	return final
 }
 
 // attemptResult is one attempt's outcome: a fully buffered response
@@ -460,18 +456,17 @@ type attemptResult struct {
 	header  http.Header
 	body    []byte
 	err     error
-	elapsed time.Duration
+	outcome outcome
 }
 
 // handleProxy is the catch-all: buffer the body, rank the replicas,
-// then walk retry rounds × candidates with hedging until an attempt
-// succeeds.
+// then route the request over them.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("router: draining"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -491,15 +486,14 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	res, retryAfter := r.route(req, body, order)
-	if res != nil && res.err != nil {
-		// A non-retryable transport failure on a non-idempotent
-		// request: the replica may or may not have applied it, so
-		// surface the ambiguity instead of retrying.
+	res, saturated := r.route(req, body, order)
+	switch {
+	case res != nil && res.err != nil:
+		// A failure no other replica may retry: a transport error on a
+		// non-idempotent request (the replica may or may not have
+		// applied it), or a response over the body limit.
 		httpError(w, http.StatusBadGateway, res.err)
-		return
-	}
-	if res != nil {
+	case res != nil:
 		// Propagate the replica's response verbatim, plus attribution.
 		h := w.Header()
 		for k, vs := range res.header {
@@ -508,30 +502,45 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		h.Set("X-QAV-Replica", res.rep.name)
 		w.WriteHeader(res.status)
 		w.Write(res.body)
-		return
-	}
-	if retryAfter > 0 {
+	case saturated:
 		// Every live replica is inside a Retry-After horizon: the
 		// cluster is saturated, not broken. Tell the client when the
 		// earliest replica expects capacity back.
-		secs := int(retryAfter / time.Second)
+		secs := int(r.minSaturationWait() / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		httpError(w, http.StatusTooManyRequests, errors.New("router: all replicas saturated"))
-		return
+	default:
+		httpError(w, http.StatusBadGateway, errors.New("router: no replica could serve the request"))
 	}
-	httpError(w, http.StatusBadGateway, errors.New("router: no replica could serve the request"))
 }
 
-// route walks retry rounds over the policy's candidate order. It
-// returns a successful (or client-errored) result, or (nil, minWait)
-// when every live replica was saturated, or (nil, 0) when everything
-// failed.
-func (r *Router) route(req *http.Request, body []byte, order []int) (*attemptResult, time.Duration) {
-	canHedge := r.cfg.HedgeAfter > 0 && idempotent(req)
+// route walks retry rounds over the policy's candidate order. Within a
+// round a cursor moves down the order and tries each available
+// candidate at most once: the next one starts when every running
+// attempt has failed retryably, or — for a hedged request — when the
+// hedge delay passes while one attempt runs alone, so at most two are
+// ever in flight. The first final result wins and the other attempt is
+// cancelled. Without one, route reports whether the last round saw a
+// saturated replica.
+func (r *Router) route(req *http.Request, body []byte, order []int) (*attemptResult, bool) {
+	ctx := req.Context()
+	// Returning cancels every attempt this request started, the
+	// losing one included.
+	cancels := make([]context.CancelFunc, 0, 4)
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
 	idem := idempotent(req)
+	hedge := idem && r.cfg.HedgeAfter > 0
+	// A round drains every attempt it starts before the next round
+	// begins, so one slot per candidate means no send ever blocks —
+	// not even a cancelled loser's (leaktest pins that).
+	results := make(chan *attemptResult, len(order))
 	var sawSaturated bool
 	for round := 0; ; round++ {
 		if round > 0 {
@@ -540,68 +549,77 @@ func (r *Router) route(req *http.Request, body []byte, order []int) (*attemptRes
 			// rounds wait out the nearest Retry-After horizon instead.
 			d := r.backoff(round)
 			if sawSaturated {
-				if wait := r.minSaturationWait(); wait > 0 && wait > d {
+				if wait := r.minSaturationWait(); wait > d {
 					d = wait
 				}
 			}
 			r.reg.ObserveStage(obs.StageRouterRetry, d)
 			select {
-			case <-req.Context().Done():
-				return &attemptResult{err: req.Context().Err()}, 0
+			case <-ctx.Done():
+				return &attemptResult{err: ctx.Err()}, false
 			case <-time.After(d):
 			}
 			sawSaturated = false
 		}
-		now := time.Now()
-		for i := 0; i < len(order); i++ {
-			rep := r.reps[order[i]]
-			if !rep.available(now) {
-				continue
+		cursor, running := 0, 0
+		// next starts the next available candidate, if there is one.
+		next := func() bool {
+			for cursor < len(order) {
+				rep := r.reps[order[cursor]]
+				cursor++
+				if !rep.available(time.Now()) {
+					continue
+				}
+				actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+				cancels = append(cancels, cancel)
+				running++
+				r.wg.Add(1)
+				go func() {
+					defer r.wg.Done()
+					defer guard.Rescue("router.attempt", func(err error) {
+						results <- &attemptResult{rep: rep, err: err, outcome: failure(idem, err)}
+					})
+					results <- r.attempt(actx, rep, req, body, idem)
+				}()
+				return true
 			}
-			// Pick a hedge partner: the next-ranked available replica.
-			var hedgeRep *replica
-			if canHedge {
-				for j := i + 1; j < len(order); j++ {
-					if cand := r.reps[order[j]]; cand.available(now) && cand != rep {
-						hedgeRep = cand
-						break
+			return false
+		}
+		for next() {
+			// One attempt runs alone: arm the hedge if a partner may
+			// remain.
+			var hedgeC <-chan time.Time
+			var delay time.Duration
+			if hedge && cursor < len(order) {
+				delay = r.hedge.delay(r.cfg.HedgeAfter)
+				hedgeC = time.After(delay)
+			}
+			for running > 0 {
+				select {
+				case res := <-results:
+					running--
+					switch res.outcome {
+					case final:
+						return res, false
+					case saturated:
+						sawSaturated = true
+					case failed:
+					}
+				case <-hedgeC:
+					// The lone attempt is slow: start its partner,
+					// unless the chaos plan says the hedger itself is
+					// broken (then just keep waiting).
+					hedgeC = nil
+					if faultHedge.Hit(ctx) == nil && next() {
+						r.reg.ObserveStage(obs.StageRouterHedge, delay)
 					}
 				}
 			}
-			res := r.race(req, body, rep, hedgeRep)
-			switch {
-			case res.err != nil:
-				// Transport-level failure. Retrying is safe when the
-				// request never reached a handler (connect error) or the
-				// endpoint is idempotent; otherwise surface it.
-				if !idem && !isConnectErr(res.err) {
-					return res, 0
-				}
-				continue
-			case res.status == http.StatusTooManyRequests:
-				sawSaturated = true
-				continue
-			case res.status >= 500:
-				if !idem {
-					return res, 0
-				}
-				continue
-			default:
-				return res, 0
-			}
 		}
 		if round >= r.cfg.Retries {
-			break
+			return nil, sawSaturated
 		}
 	}
-	if sawSaturated {
-		wait := r.minSaturationWait()
-		if wait <= 0 {
-			wait = time.Second
-		}
-		return nil, wait
-	}
-	return nil, 0
 }
 
 // backoff returns the jittered, capped exponential backoff for round
@@ -635,124 +653,61 @@ func (r *Router) minSaturationWait() time.Duration {
 	return time.Duration(min)
 }
 
-// race runs one attempt on rep, optionally hedged on hedgeRep: if rep
-// has not answered after the hedge delay, a second attempt launches
-// and the first success wins; the loser's context is cancelled. The
-// result channel is buffered for both attempts so a loser's send never
-// blocks a goroutine (leaktest pins that).
-func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *attemptResult {
-	results := make(chan *attemptResult, 2)
-	launch := func(target *replica) context.CancelFunc {
-		actx, cancel := context.WithTimeout(req.Context(), r.cfg.AttemptTimeout)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer guard.Rescue("router.attempt", func(err error) {
-				results <- &attemptResult{rep: target, err: err}
-			})
-			results <- r.attempt(actx, target, req, body)
-		}()
-		return cancel
-	}
-	cancel1 := launch(rep)
-	defer cancel1()
-	if hedgeRep == nil {
-		return <-results
-	}
-
-	delay := r.hedge.delay(r.cfg.HedgeAfter)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case res := <-results:
-		return res
-	case <-timer.C:
-	}
-	// Primary is slow: hedge on the partner, unless the chaos plan
-	// says the hedger itself is broken (then just keep waiting).
-	if err := faultHedge.Hit(req.Context()); err == nil {
-		r.reg.ObserveStage(obs.StageRouterHedge, delay)
-		cancel2 := launch(hedgeRep)
-		defer cancel2()
-		first := <-results
-		if attemptOK(first) {
-			return first
-		}
-		second := <-results
-		if attemptOK(second) {
-			return second
-		}
-		return first
-	}
-	return <-results
-}
-
-// attemptOK reports whether res should win a hedge race: a response
-// that is not a server-side failure.
-func attemptOK(res *attemptResult) bool {
-	return res.err == nil && res.status < 500 && res.status != http.StatusTooManyRequests
-}
-
-// attempt performs one proxied request against rep and fully buffers
-// the response. Outcomes feed the breaker and the passive health
-// signals; 429s only mark saturation.
-func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, body []byte) *attemptResult {
+// attempt performs one proxied request against rep, fully buffers the
+// response and classifies the outcome once: failures charge the
+// breaker, 429s only mark saturation, answers close the breaker and
+// pace the hedge.
+func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, body []byte, idem bool) *attemptResult {
 	start := time.Now()
 	rep.inflight.Add(1)
 	rep.attempts.Add(1)
 	defer rep.inflight.Add(-1)
 
+	res := &attemptResult{rep: rep}
 	u := *rep.base
 	u.Path = orig.URL.Path
 	u.RawQuery = orig.URL.RawQuery
 	req, err := http.NewRequestWithContext(ctx, orig.Method, u.String(), bytes.NewReader(body))
-	if err != nil {
-		return &attemptResult{rep: rep, err: err}
-	}
-	req.Header = orig.Header.Clone()
-	resp, err := r.cfg.Transport.RoundTrip(req)
-	elapsed := time.Since(start)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			rep.timeouts.Add(1)
+	if err == nil {
+		req.Header = orig.Header.Clone()
+		var resp *http.Response
+		if resp, err = r.cfg.Transport.RoundTrip(req); err == nil {
+			// One byte past the limit tells an oversized body from one
+			// that fits exactly.
+			res.body, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+			resp.Body.Close()
+			res.status, res.header = resp.StatusCode, resp.Header
 		}
-		rep.consecErrs.Add(1)
-		rep.br.Failure(time.Now())
-		rep.ep.Observe(0, elapsed)
-		return &attemptResult{rep: rep, err: err, elapsed: elapsed}
 	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes))
-	resp.Body.Close()
-	if err != nil {
-		rep.consecErrs.Add(1)
-		rep.br.Failure(time.Now())
-		rep.ep.Observe(0, elapsed)
-		return &attemptResult{rep: rep, err: err, elapsed: elapsed}
-	}
-	rep.ep.Observe(resp.StatusCode, elapsed)
-	res := &attemptResult{
-		rep:     rep,
-		status:  resp.StatusCode,
-		header:  resp.Header,
-		body:    respBody,
-		elapsed: elapsed,
-	}
+	elapsed := time.Since(start)
+	now := time.Now()
 	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case err != nil || res.status >= 500:
+		if err != nil {
+			res.status, res.err = 0, err
+			if errors.Is(err, context.DeadlineExceeded) {
+				rep.timeouts.Add(1)
+			}
+		}
+		rep.br.Failure(now)
+		res.outcome = failure(idem, err)
+	case len(res.body) > maxBodyBytes:
+		// Every replica would send the same oversized body, so neither
+		// retry it elsewhere nor charge the breaker: answer 502.
+		res.err = fmt.Errorf("router: replica %s response exceeds the %d-byte limit", rep.name, maxBodyBytes)
+	case res.status == http.StatusTooManyRequests:
 		// Saturation, not failure: honor the replica's Retry-After.
 		ra := time.Second
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		if secs, err := strconv.Atoi(res.header.Get("Retry-After")); err == nil && secs > 0 {
 			ra = time.Duration(secs) * time.Second
 		}
 		rep.markSaturated(ra)
-	case resp.StatusCode >= 500:
-		rep.consecErrs.Add(1)
-		rep.br.Failure(time.Now())
+		res.outcome = saturated
 	default:
-		rep.consecErrs.Store(0)
-		rep.br.Success(time.Now())
+		rep.br.Success(now)
 		r.hedge.observe(elapsed)
 	}
+	rep.ep.Observe(res.status, elapsed)
 	return res
 }
 
@@ -846,13 +801,13 @@ func (r *Router) Status() ClusterStatus {
 	now := time.Now()
 	cs := ClusterStatus{Policy: r.policy.name(), Draining: r.draining.Load()}
 	for _, rep := range r.reps {
-		state, _, transitions := rep.br.Snapshot()
+		state, fails, transitions := rep.br.Snapshot()
 		rs := ReplicaStatus{
 			Name:        rep.name,
 			State:       state.String(),
 			Healthy:     rep.probeOK.Load(),
 			Draining:    rep.draining.Load(),
-			ConsecErrs:  rep.consecErrs.Load(),
+			ConsecErrs:  int64(fails),
 			Attempts:    rep.attempts.Load(),
 			Timeouts:    rep.timeouts.Load(),
 			InFlight:    rep.inflight.Load(),
@@ -894,14 +849,9 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 // and answers "what delay should pace a hedge": the configured floor
 // until enough samples exist, then max(floor, tracked quantile).
 type latencyTracker struct {
-	mu       sync.Mutex
-	ring     [128]time.Duration
-	n        int // total observed
-	quantile float64
-}
-
-func newLatencyTracker(q float64) *latencyTracker {
-	return &latencyTracker{quantile: q}
+	mu   sync.Mutex
+	ring [128]time.Duration
+	n    int // total observed
 }
 
 func (t *latencyTracker) observe(d time.Duration) {
@@ -924,11 +874,7 @@ func (t *latencyTracker) delay(floor time.Duration) time.Duration {
 	buf := make([]time.Duration, size)
 	copy(buf, t.ring[:size])
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := int(float64(size) * t.quantile)
-	if idx >= size {
-		idx = size - 1
-	}
-	if q := buf[idx]; q > floor {
+	if q := buf[int(float64(size)*hedgeQuantile)]; q > floor {
 		return q
 	}
 	return floor

@@ -1,8 +1,10 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -298,6 +300,122 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	// cancelled and gone after Close.
 }
 
+// TestHedgePartnerTriedOncePerRound pins that a round tries each
+// candidate at most once: a hedge partner that fails is not attempted
+// again as the next primary of the same round.
+func TestHedgePartnerTriedOncePerRound(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, ht, reps, closeAll := testCluster(t, 3, func(c *Config) {
+		c.HedgeAfter = 5 * time.Millisecond
+		c.Retries = -1 // one round
+		c.BreakerThreshold = 10
+	})
+	defer closeAll()
+
+	for _, f := range reps {
+		f.set(func(f *fakeReplica) { f.status = http.StatusInternalServerError })
+	}
+	order := r.policy.order(affinityKey("/v1/rewrite", []byte(rewriteBody)), r.reps)
+	ht.SetDelay(r.reps[order[0]].name, 30*time.Millisecond) // the owner answers after the hedge
+	before := replicaAttempts(r)
+	if rec := doRewrite(t, r, rewriteBody); rec.Code != http.StatusBadGateway {
+		t.Fatalf("want 502 with every replica failing, got %d: %s", rec.Code, rec.Body.String())
+	}
+	for name, n := range replicaAttempts(r) {
+		if got := n - before[name]; got > 1 {
+			t.Errorf("%s attempted %d times in one round, want at most 1", name, got)
+		}
+	}
+}
+
+func replicaAttempts(r *Router) map[string]int64 {
+	out := make(map[string]int64)
+	for _, rs := range r.Status().Replicas {
+		out[rs.Name] = rs.Attempts
+	}
+	return out
+}
+
+// TestOversizedResponseIs502 pins that a replica response over the
+// body limit is refused with a 502 naming the limit instead of being
+// forwarded truncated, and that it is neither retried on another
+// replica nor charged to a breaker (every replica would send the same
+// body).
+func TestOversizedResponseIs502(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, ht, reps, closeAll := testCluster(t, 3, nil)
+	defer closeAll()
+
+	big := bytes.Repeat([]byte("x"), maxBodyBytes+1)
+	for _, f := range reps {
+		ht.Register(f.name, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path != "/v1/rewrite" {
+				f.mux.ServeHTTP(w, req)
+				return
+			}
+			w.Write(big)
+		}))
+	}
+	before := totalAttempts(r)
+	rec := doRewrite(t, r, rewriteBody)
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("want 502 for an oversized response, got %d (%d body bytes)", rec.Code, rec.Body.Len())
+	}
+	if limit := strconv.Itoa(maxBodyBytes); !strings.Contains(rec.Body.String(), limit) {
+		t.Fatalf("error does not name the %s-byte limit: %s", limit, rec.Body.String())
+	}
+	if got := totalAttempts(r) - before; got != 1 {
+		t.Fatalf("oversized response attempted %d times, want 1", got)
+	}
+	for _, rs := range r.Status().Replicas {
+		if rs.ConsecErrs != 0 || rs.State != "closed" {
+			t.Fatalf("oversized response charged the breaker of %s: %+v", rs.Name, rs)
+		}
+	}
+}
+
+// TestDialErrorFailsOverOnSocket drives a non-idempotent request
+// through net/http over loopback: the first-ranked replica is a closed
+// port, so the dial fails with a *net.OpError before any handler could
+// see the request, and the router must fail over to the live replica.
+func TestDialErrorFailsOverOnSocket(t *testing.T) {
+	defer leaktest.Check(t)()
+	live := httptest.NewServer(newFakeReplica("live").mux)
+	defer live.Close()
+	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	r, err := New(Config{
+		Replicas:         []string{"http://" + dead, live.URL},
+		Policy:           "roundrobin", // the first request ranks the dead port first
+		Retries:          -1,
+		BreakerThreshold: 10,
+		Transport:        http.DefaultTransport,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	req := httptest.NewRequest("POST", "/v1/views", strings.NewReader(`{"name":"x"}`))
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("want failover to the live replica, got %d: %s", rec.Code, rec.Body.String())
+	}
+	if got, want := rec.Header().Get("X-QAV-Replica"), strings.TrimPrefix(live.URL, "http://"); got != want {
+		t.Fatalf("served by %q, want %q", got, want)
+	}
+	if n := replicaAttempts(r)[dead]; n != 1 {
+		t.Fatalf("dead replica attempted %d times, want 1", n)
+	}
+}
+
 func TestRouterDrainingReturns503(t *testing.T) {
 	defer leaktest.Check(t)()
 	r, _, _, closeAll := testCluster(t, 2, nil)
@@ -389,15 +507,18 @@ func TestClusterStatusDocument(t *testing.T) {
 // replica moves keys only onto the new replica, and removing one moves
 // only the keys it owned.
 func TestRendezvousStability(t *testing.T) {
-	three := []string{"replica-0", "replica-1", "replica-2"}
-	four := append(append([]string{}, three...), "replica-3")
+	three := namedReplicas("replica-0", "replica-1", "replica-2")
+	four := append(append([]*replica{}, three...), namedReplicas("replica-3")...)
+	owner := func(reps []*replica, key string) string {
+		return reps[(&affinity{}).order(key, reps)[0]].name
+	}
 
 	const keys = 2000
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("//a[b%d]//c\x00//a//c\x00", i)
-		before := three[rendezvousRank(three, key)]
-		after := four[rendezvousRank(four, key)]
+		before := owner(three, key)
+		after := owner(four, key)
 		if before != after {
 			moved++
 			if after != "replica-3" {
@@ -413,12 +534,21 @@ func TestRendezvousStability(t *testing.T) {
 	// Removal: survivors keep every key they already owned.
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("//x[y%d]\x00//x\x00", i)
-		before := four[rendezvousRank(four, key)]
-		after := three[rendezvousRank(three, key)]
+		before := owner(four, key)
+		after := owner(three, key)
 		if before != "replica-3" && before != after {
 			t.Fatalf("key %d moved %s -> %s on removal of replica-3", i, before, after)
 		}
 	}
+}
+
+// namedReplicas builds bare registry entries for policy tests.
+func namedReplicas(names ...string) []*replica {
+	reps := make([]*replica, len(names))
+	for i, name := range names {
+		reps[i] = &replica{name: name, nameHash: fnv64a(name)}
+	}
+	return reps
 }
 
 func TestBreakerStateMachine(t *testing.T) {
@@ -479,14 +609,6 @@ func TestPolicies(t *testing.T) {
 	}
 	if len(first) != 3 {
 		t.Fatal("order must rank every replica")
-	}
-
-	reps[0].inflight.Store(10)
-	reps[2].inflight.Store(1)
-	ll := leastLoaded{}
-	got := ll.order("k", reps)
-	if got[0] != 1 || got[2] != 0 {
-		t.Fatalf("least-loaded order %v, want [1 2 0]", got)
 	}
 
 	af := &affinity{}

@@ -115,7 +115,7 @@ func NewService(eng *engine.Engine) *Service {
 
 // Service is the HTTP service with its lifecycle state: the handler
 // mux, the draining bit /healthz reports, and the in-flight request
-// gauge the health payload exposes for least-loaded routing.
+// gauge the health payload exposes.
 type Service struct {
 	eng *engine.Engine
 	mux *http.ServeMux
