@@ -116,7 +116,7 @@ func BenchmarkMCRGenSchema(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("S%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sc.MCRWithSchema(qs[i%len(qs)], vs[i%len(vs)]); err != nil {
+				if _, err := sc.MCRWithSchemaCtx(context.Background(), qs[i%len(qs)], vs[i%len(vs)]); err != nil {
 					b.Fatal(err)
 				}
 			}

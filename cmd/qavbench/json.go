@@ -120,7 +120,8 @@ func runJSON(ctx context.Context, seed int64) error {
 	}
 
 	// MCRGen vs the brute-force baseline on random size-6 pairs
-	// (BenchmarkNaiveVsMCRGen).
+	// (BenchmarkNaiveVsMCRGen); both run inside a stage span, so the
+	// comparison is like for like.
 	{
 		rng := rand.New(rand.NewSource(7))
 		alphabet := []string{"a", "b", "c"}
@@ -138,12 +139,12 @@ func runJSON(ctx context.Context, seed int64) error {
 			i++
 		})))
 		i = 0
-		add(measure("naive_random6", 50000, func() {
+		add(measure("naive_random6", 50000, spanned(func(ctx context.Context) {
 			if _, err := rewrite.NaiveMCR(ctx, qs[i%len(qs)], vs[i%len(vs)]); err != nil {
 				panic(err)
 			}
 			i++
-		}))
+		})))
 	}
 
 	// UseEmb answerability on random Q128/V64 pairs

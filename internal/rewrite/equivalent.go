@@ -33,7 +33,7 @@ func (sc *SchemaContext) EquivalentRewriting(q, v *tpq.Pattern, opts Options) (*
 	if sc.Schema.IsRecursive() {
 		res, err = sc.MCRRecursive(q, v, opts)
 	} else {
-		res, err = sc.MCRWithSchema(q, v)
+		res, err = sc.MCRWithSchemaCtx(opts.ctx(), q, v)
 	}
 	if err != nil {
 		return nil, false, err

@@ -65,6 +65,18 @@ func (o Options) ctx() context.Context {
 	return o.Context
 }
 
+// limit returns the embedding budget, defaulting to
+// DefaultMaxEmbeddings.
+func (o Options) limit() int {
+	if o.MaxEmbeddings <= 0 {
+		return DefaultMaxEmbeddings
+	}
+	return o.MaxEmbeddings
+}
+
+// errWildcard rejects patterns outside the algorithms' fragment.
+var errWildcard = errors.New("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
+
 // Result is the output of MCR generation.
 type Result struct {
 	// Union is the maximal contained rewriting as a union of tree
@@ -119,18 +131,13 @@ func partialReason(err error) PartialReason {
 // when q is not answerable using v. Every returned CR is verified
 // contained in q by homomorphism.
 //
-// Internally the Enumerate → BuildCR → verify chain runs as a streaming
-// pipeline (generateCRs): embeddings are consumed as the enumeration
-// produces them, so the embedding set is never fully materialized and,
-// on large enumerations, CR construction overlaps enumeration across a
-// bounded worker pool. Results are identical to the serial order.
+// MCR, MCRRecursive and MCRMultiView share one pipeline: generateCRs
+// streams the useful embeddings through buildVerify, and assemble
+// turns the verified CRs into an irredundant union. They differ only
+// in the labeling and in the containment that decides a CR.
 func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
 	if q.HasWildcard() || v.HasWildcard() {
-		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
-	}
-	limit := opts.MaxEmbeddings
-	if limit <= 0 {
-		limit = DefaultMaxEmbeddings
+		return nil, errWildcard
 	}
 	ctx := opts.ctx()
 	sp := obs.SpanFrom(ctx)
@@ -140,27 +147,64 @@ func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
 	if !labels.Exists() {
 		return &Result{Union: &tpq.Union{}}, nil
 	}
-	crs, considered, err := generateCRs(ctx, labels, q, v, limit)
-	if err != nil {
-		if reason := partialReason(err); reason != "" {
-			// Graceful degradation: the CRs built before the wall are
-			// each verified contained in q, so their union is a sound
-			// (possibly non-maximal) rewriting — return it instead of
-			// failing the request.
-			return assemblePartial(crs, considered, reason), nil
+	return mcrPipeline(ctx, labels, v, containedIn(q), tpq.Contained, opts.limit())
+}
+
+// crCheck decides whether a freshly built CR belongs in the union:
+// keep=false drops it, an error fails the whole run.
+type crCheck func(cr *ContainedRewriting) (keep bool, err error)
+
+// containedIn is the schemaless check: every CR must be contained in
+// q. Useful embeddings induce contained rewritings by construction, so
+// a failure indicates a bug upstream.
+func containedIn(q *tpq.Pattern) crCheck {
+	return func(cr *ContainedRewriting) (bool, error) {
+		if !cr.VerifyContained(q) {
+			return false, fmt.Errorf("rewrite: internal error: CR %s not contained in %s (embedding %s)", cr.Rewriting, q, cr.Embedding)
 		}
+		return true, nil
+	}
+}
+
+// mcrPipeline is the tail every MCR algorithm shares once its labeling
+// is computed: enumerate, build and check the CRs, then assemble them
+// under contains. A budget or deadline overrun degrades into a Partial
+// result: the CRs built before the wall each passed check, so their
+// union is a sound, possibly non-maximal, rewriting.
+func mcrPipeline(ctx context.Context, labels *Labeling, base *tpq.Pattern, check crCheck, contains func(p, q *tpq.Pattern) bool, limit int) (*Result, error) {
+	crs, considered, err := generateCRs(ctx, labels, base, check, limit)
+	reason := partialReason(err)
+	if err != nil && reason == "" {
 		return nil, err
 	}
-	res, err := assembleResult(ctx, crs, considered)
-	if err != nil {
-		if reason := partialReason(err); reason != "" {
-			// The deadline fired inside redundancy elimination: fall
-			// back to the dedup-only partial union.
-			return assemblePartial(crs, considered, reason), nil
-		}
+	return assemble(ctx, crs, considered, contains, reason)
+}
+
+// buildVerify materializes the CR that embedding f induces against
+// base and runs check on it; (nil, nil) means check dropped it. It is
+// panic-isolated: a pattern tripping an invariant in CR construction
+// must fail that request, not the process (the named-return defer
+// converts the panic into a typed ErrInternal with its stack, which
+// the engine routes into the slow log).
+func buildVerify(ctx context.Context, f *Embedding, base *tpq.Pattern, check crCheck) (cr *ContainedRewriting, err error) {
+	defer guard.Recover(&err, "rewrite.buildVerify")
+	if err := faultBuildCR.Hit(ctx); err != nil {
 		return nil, err
 	}
-	return res, nil
+	sp := obs.SpanFrom(ctx)
+	t := sp.Start()
+	cr, err = BuildCR(f, base)
+	sp.Observe(obs.StageBuildCR, t)
+	if err != nil {
+		return nil, fmt.Errorf("rewrite: embedding %s: %w", f, err)
+	}
+	t = sp.Start()
+	keep, err := check(cr)
+	sp.Observe(obs.StageContain, t)
+	if !keep {
+		return nil, err
+	}
+	return cr, nil
 }
 
 // crPipelineBatch is the streaming pipeline's serial threshold: an
@@ -181,50 +225,21 @@ type seqCR struct {
 	cr  *ContainedRewriting
 }
 
-// generateCRs fuses embedding enumeration with CR construction and
-// containment verification. The first crPipelineBatch embeddings are
-// buffered: a short stream is then handled serially, while a longer one
-// starts GOMAXPROCS workers that build and verify CRs concurrently with
-// the ongoing enumeration, over a bounded channel. Output order (and
-// thus every downstream result, including which embedding represents a
-// structurally duplicated CR) matches the serial enumeration order.
+// generateCRs fuses embedding enumeration with buildVerify, so the
+// embedding set is never fully materialized. The first crPipelineBatch
+// embeddings are buffered: a short stream is then handled serially,
+// while a longer one starts GOMAXPROCS workers that build and check CRs
+// concurrently with the ongoing enumeration, over a bounded channel.
+// Output order (and thus every downstream result, including which
+// embedding represents a structurally duplicated CR) matches the
+// serial enumeration order. The int result counts the embeddings
+// considered.
 //
 // Partial contract: when the returned error is an embedding-budget
 // overrun or context.DeadlineExceeded, the returned CRs are the sound
-// subset completed before the wall (each verified contained in q) and
-// the caller may degrade into a Partial result. On any other error the
-// CR slice is nil.
-func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit int) ([]*ContainedRewriting, int, error) {
-	// Stage accounting: a nil span costs a nil check per credit and no
-	// clock reads. Span credits are atomic, so the parallel workers
-	// below record into it directly.
-	sp := obs.SpanFrom(ctx)
-	// buildVerify is panic-isolated: a pattern tripping an invariant in
-	// CR construction must fail that request, not the process (the
-	// named-return defer converts the panic into a typed ErrInternal
-	// with its stack, which the engine routes into the slow log).
-	buildVerify := func(f *Embedding) (cr *ContainedRewriting, err error) {
-		defer guard.Recover(&err, "rewrite.buildVerify")
-		if err := faultBuildCR.Hit(ctx); err != nil {
-			return nil, err
-		}
-		t := sp.Start()
-		cr, err = BuildCR(f, v)
-		sp.Observe(obs.StageBuildCR, t)
-		if err != nil {
-			return nil, fmt.Errorf("rewrite: embedding %s: %w", f, err)
-		}
-		t = sp.Start()
-		contained := cr.VerifyContained(q)
-		sp.Observe(obs.StageContain, t)
-		if !contained {
-			// Useful embeddings induce contained rewritings by
-			// construction; reaching this indicates a bug upstream.
-			return nil, fmt.Errorf("rewrite: internal error: CR %s not contained in %s (embedding %s)", cr.Rewriting, q, f)
-		}
-		return cr, nil
-	}
-
+// subset completed before the wall and the caller may degrade into a
+// Partial result. On any other error the CR slice is nil.
+func generateCRs(ctx context.Context, labels *Labeling, base *tpq.Pattern, check crCheck, limit int) ([]*ContainedRewriting, int, error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -258,14 +273,16 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 				fail(err)
 				continue
 			}
-			cr, err := buildVerify(e.f)
+			cr, err := buildVerify(ctx, e.f, base, check)
 			if err != nil {
 				fail(err)
 				continue
 			}
-			mu.Lock()
-			out = append(out, seqCR{e.seq, cr})
-			mu.Unlock()
+			if cr != nil {
+				mu.Lock()
+				out = append(out, seqCR{e.seq, cr})
+				mu.Unlock()
+			}
 		}
 	}
 	seq := 0
@@ -305,7 +322,10 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 
 	// The Stream call is the enumeration driver; in pipeline mode its
 	// wall time overlaps the workers' buildcr/contain time, so stage
-	// totals may sum past the request's duration.
+	// totals may sum past the request's duration. A nil span costs a
+	// nil check per credit and no clock reads; span credits are atomic,
+	// so the workers record into it directly.
+	sp := obs.SpanFrom(ctx)
 	t := sp.Start()
 	streamErr := labels.Stream(ctx, limit, emit)
 	sp.Observe(obs.StageEnumerate, t)
@@ -315,7 +335,7 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 		if streamErr != nil && partialReason(streamErr) == "" {
 			return nil, 0, streamErr
 		}
-		crs := make([]*ContainedRewriting, 0, len(head))
+		var crs []*ContainedRewriting
 		for _, f := range head {
 			// On a budget/deadline overrun, still finish the buffered
 			// prefix (bounded: at most crPipelineBatch items) so the
@@ -326,125 +346,87 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 					return nil, 0, err
 				}
 			}
-			cr, err := buildVerify(f)
+			cr, err := buildVerify(ctx, f, base, check)
 			if err != nil {
 				return nil, 0, err
 			}
-			crs = append(crs, cr)
+			if cr != nil {
+				crs = append(crs, cr)
+			}
 		}
 		return crs, len(head), streamErr
 	}
 
 	close(in)
 	wg.Wait()
-	mu.Lock()
-	err := werr
-	mu.Unlock()
-	collect := func() []*ContainedRewriting {
-		sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-		crs := make([]*ContainedRewriting, len(out))
-		for i, s := range out {
-			crs[i] = s.cr
-		}
-		return crs
-	}
-	switch {
-	case err != nil:
+	if werr != nil {
 		// A worker failure wins over the stream error: the stream aborts
 		// with pctx's cancellation, which is a symptom, not the cause.
-		return nil, 0, err
-	case streamErr != nil:
-		if partialReason(streamErr) != "" {
-			// Workers drained whatever was already in flight; their
-			// completed CRs are the sound subset.
-			return collect(), seq, streamErr
-		}
+		return nil, 0, werr
+	}
+	if streamErr == nil {
+		streamErr = ctx.Err()
+	}
+	if streamErr != nil && partialReason(streamErr) == "" {
 		return nil, 0, streamErr
 	}
-	if err := ctx.Err(); err != nil {
-		if partialReason(err) != "" {
-			return collect(), seq, err
-		}
-		return nil, 0, err
+	// Workers drained whatever was in flight; on a budget or deadline
+	// wall their completed CRs are the sound subset.
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	crs := make([]*ContainedRewriting, len(out))
+	for i, s := range out {
+		crs[i] = s.cr
 	}
-	return collect(), seq, nil
+	return crs, seq, streamErr
 }
 
-// assemblePartial packages the CRs completed before a budget or
-// deadline wall into a Partial result: structural dedup and the
-// deterministic smallest-first order only, skipping the quadratic
-// redundancy-elimination matrix — exactly the work the wall is
-// protecting against. Every CR was individually verified contained in
-// the query, so the union is sound; it just may not be maximal and may
-// contain overlapping disjuncts.
-func assemblePartial(crs []*ContainedRewriting, considered int, reason PartialReason) *Result {
+// assemble turns checked CRs into a Result. Different embeddings
+// frequently induce identical rewritings after grafting, so it first
+// dedups structurally (the first occurrence wins) and orders the
+// survivors smallest-first, so that each equivalence class keeps its
+// most compact representative. A complete run (reason == "") then
+// drops every CR that contains reports contained in another. That
+// quadratic matrix dominates exponential MCRs, so it is credited to
+// the contain stage and honors ctx: a deadline inside it degrades the
+// run into a deadline Partial.
+//
+// Partial results keep the dedup and the order but skip the matrix —
+// exactly the work a budget or deadline wall protects against — so
+// their disjuncts may overlap.
+func assemble(ctx context.Context, crs []*ContainedRewriting, considered int, contains func(p, q *tpq.Pattern) bool, reason PartialReason) (*Result, error) {
 	seen := make(map[string]bool, len(crs))
-	kept := make([]*ContainedRewriting, 0, len(crs))
+	uniq := make([]*ContainedRewriting, 0, len(crs))
 	for _, cr := range crs {
 		key := cr.Rewriting.Canonical()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		kept = append(kept, cr)
-	}
-	sortCRs(kept)
-	u := &tpq.Union{}
-	for _, cr := range kept {
-		cr.ensureCompensation()
-		u.Patterns = append(u.Patterns, cr.Rewriting)
-	}
-	return &Result{
-		Union:                u,
-		CRs:                  kept,
-		EmbeddingsConsidered: considered,
-		Partial:              true,
-		PartialReason:        reason,
-	}
-}
-
-// assembleResult deduplicates CRs structurally, removes redundant ones
-// (contained in another CR), and packages the union. Redundancy
-// elimination is quadratic in the number of CRs — the dominating cost
-// when the MCR is exponential — so it honors ctx cancellation.
-func assembleResult(ctx context.Context, crs []*ContainedRewriting, considered int) (*Result, error) {
-	// Structural dedup first: different embeddings frequently induce
-	// identical rewritings after grafting.
-	seen := make(map[string]*ContainedRewriting)
-	var uniq []*ContainedRewriting
-	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] == nil {
-			seen[key] = cr
+		if !seen[key] {
+			seen[key] = true
 			uniq = append(uniq, cr)
 		}
 	}
-	// Order smallest-first so that equivalence classes keep their most
-	// compact representative.
 	sortCRs(uniq)
-	// Redundancy elimination: drop CRs strictly contained in another,
-	// and keep one representative per equivalence class. This quadratic
-	// containment matrix is the dominating phase on exponential MCRs, so
-	// it is credited to the contain stage.
-	sp := obs.SpanFrom(ctx)
-	t := sp.Start()
-	kept := make([]*ContainedRewriting, 0, len(uniq))
-	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
-		return tpq.Contained(uniq[i].Rewriting, uniq[j].Rewriting)
-	})
-	sp.Observe(obs.StageContain, t)
-	if err != nil {
-		return nil, err
-	}
-	u := &tpq.Union{}
-	for i, cr := range uniq {
-		if !redundant[i] {
-			cr.ensureCompensation()
-			kept = append(kept, cr)
-			u.Patterns = append(u.Patterns, cr.Rewriting)
+	var redundant []bool
+	if reason == "" {
+		sp := obs.SpanFrom(ctx)
+		t := sp.Start()
+		var err error
+		redundant, err = markRedundant(ctx, len(uniq), func(i, j int) bool {
+			return contains(uniq[i].Rewriting, uniq[j].Rewriting)
+		})
+		sp.Observe(obs.StageContain, t)
+		if reason = partialReason(err); err != nil && reason == "" {
+			return nil, err
 		}
 	}
-	return &Result{Union: u, CRs: kept, EmbeddingsConsidered: considered}, nil
+	res := &Result{Union: &tpq.Union{}, EmbeddingsConsidered: considered, Partial: reason != "", PartialReason: reason}
+	for i, cr := range uniq {
+		if redundant != nil && redundant[i] {
+			continue
+		}
+		cr.ensureCompensation()
+		res.CRs = append(res.CRs, cr)
+		res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
+	}
+	return res, nil
 }
 
 // NaiveMCR is the brute-force baseline used as ground truth in tests
@@ -566,48 +548,72 @@ func NaiveMCR(ctx context.Context, q, v *tpq.Pattern) (*Result, error) {
 	if err := rec(0); err != nil {
 		return nil, err
 	}
-	return assembleResult(ctx, crs, considered)
+	res, err := assemble(ctx, crs, considered, tpq.Contained, "")
+	if err == nil && res.Partial {
+		// The ground truth is never partial: a deadline inside
+		// redundancy elimination fails the run like one in the
+		// enumeration above.
+		return nil, ctx.Err()
+	}
+	return res, err
 }
 
 // markRedundant computes, for each CR index, whether it is strictly
 // contained in another CR or equivalent to an earlier one. The
 // criterion is order-independent (containment is transitive, so a
 // witness that is itself redundant always leads to an irredundant one),
-// which lets the quadratic containment matrix run in parallel — the
-// dominating cost when the MCR is exponential (§3.2). Workers poll ctx
+// which lets the quadratic containment matrix run rows in parallel —
+// the dominating cost when the MCR is exponential (§3.2). ctx is polled
 // between rows, so cancellation aborts the matrix promptly.
 func markRedundant(ctx context.Context, n int, contains func(i, j int) bool) ([]bool, error) {
 	redundant := make([]bool, n)
-	mark := func(i int) {
+	err := parallelFor(ctx, n, 32, func(i int) error {
+		if i&31 == 0 {
+			if err := faultContain.Hit(ctx); err != nil {
+				return err
+			}
+		}
 		for j := 0; j < n; j++ {
 			if i == j || !contains(i, j) {
 				continue
 			}
-			if !contains(j, i) {
-				redundant[i] = true // strictly contained in j
-				return
-			}
-			if j < i {
-				redundant[i] = true // equivalent; keep the earlier one
-				return
+			// Strictly contained in j, or equivalent to the earlier j.
+			if !contains(j, i) || j < i {
+				redundant[i] = true
+				return nil
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if n < 32 || workers <= 1 {
+	return redundant, nil
+}
+
+// parallelFor calls body(i) for every i in [0, n), on up to GOMAXPROCS
+// workers that take indices from an atomic counter — serially below
+// minParallel items or on a single CPU. It stops handing out indices
+// once ctx is done or a call fails. The first failure wins, and a panic
+// in body fails the loop with a guard.ErrInternal instead of killing
+// the process. It returns that failure, else ctx's error if ctx ended
+// before every index ran.
+func parallelFor(ctx context.Context, n, minParallel int, body func(i int) error) (err error) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if n < minParallel || workers <= 1 {
+		defer guard.Recover(&err, "rewrite.parallelFor")
 		for i := 0; i < n; i++ {
-			if i&31 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := faultContain.Hit(ctx); err != nil {
-					return nil, err
-				}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			mark(i)
+			if err := body(i); err != nil {
+				return err
+			}
 		}
-		return redundant, nil
+		return nil
 	}
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
@@ -620,46 +626,33 @@ func markRedundant(ctx context.Context, n int, contains func(i, j int) bool) ([]
 			werr = err
 		}
 		mu.Unlock()
+		cancel()
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A panic in a containment check must fail the request, not
-			// kill the process; remaining workers notice werr and stop.
-			defer guard.Rescue("rewrite.markRedundant", fail)
-			for {
+			defer guard.Rescue("rewrite.parallelFor", fail)
+			for pctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				if i >= n {
 					return
 				}
-				mu.Lock()
-				stop := werr != nil
-				mu.Unlock()
-				if stop {
+				if err := body(i); err != nil {
+					fail(err)
 					return
 				}
-				if i&31 == 0 {
-					if err := faultContain.Hit(ctx); err != nil {
-						fail(err)
-						return
-					}
-				}
-				mark(i)
 			}
 		}()
 	}
 	wg.Wait()
-	mu.Lock()
-	err := werr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
+	if werr != nil {
+		return werr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if int(next.Load()) < n {
+		return ctx.Err()
 	}
-	return redundant, nil
+	return nil
 }
 
 // sortCRs orders rewritings by size then canonical form, so redundancy
@@ -673,14 +666,6 @@ func sortCRs(crs []*ContainedRewriting) {
 		}
 		return crs[i].Rewriting.Canonical() < crs[j].Rewriting.Canonical()
 	})
-}
-
-func copyMap(m map[*tpq.Node]*tpq.Node) map[*tpq.Node]*tpq.Node {
-	cp := make(map[*tpq.Node]*tpq.Node, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
 }
 
 // buildUnchecked constructs the graft-at-dV rewriting for any partial

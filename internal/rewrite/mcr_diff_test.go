@@ -39,7 +39,7 @@ func referenceMCR(q, v *tpq.Pattern, limit int) (*Result, error) {
 		}
 		crs = append(crs, cr)
 	}
-	return assembleResult(ctx, crs, len(embs))
+	return assemble(ctx, crs, len(embs), tpq.Contained, "")
 }
 
 // disjunctSet returns the sorted canonical forms of the result's union.

@@ -3,12 +3,8 @@ package rewrite
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"qav/internal/guard"
 	"qav/internal/obs"
 	"qav/internal/plan"
 	"qav/internal/tpq"
@@ -50,10 +46,12 @@ type MultiViewResult struct {
 	// synthesized the trivial CR.
 	Labeled int
 	// Partial reports that at least one view's enumeration stopped at
-	// the embedding budget or the context deadline: the union is a
-	// sound (every disjunct verified contained) but possibly
-	// non-maximal rewriting. PartialReason carries the first reason in
-	// view order.
+	// the embedding budget or the context deadline, or that the
+	// deadline kept views from running or cut redundancy elimination
+	// short: the union is a sound (every disjunct verified contained)
+	// but possibly non-maximal rewriting whose disjuncts may overlap,
+	// as for Result.Partial. PartialReason carries the first view's
+	// reason in view order.
 	Partial       bool
 	PartialReason PartialReason
 }
@@ -84,22 +82,22 @@ type viewCRs struct {
 //     all, and for a '//'-rooted query exactly the trivial CR (the
 //     whole query grafted below the view output), which is synthesized
 //     directly without labeling;
-//   - surviving candidates stream their per-view MCRs through a bounded
-//     worker pool, each worker reusing the shared query side and
-//     honoring the per-view embedding budget and the context's
-//     deadline;
-//   - redundancy elimination runs once, globally — equivalent to the
-//     baseline's per-view-then-global elimination because containment
-//     is transitive and markRedundant's criterion is order-independent.
+//   - surviving candidates stream their per-view CRs through
+//     buildVerify across a bounded worker pool (parallelFor), each
+//     worker reusing the shared query side and honoring the per-view
+//     embedding budget and the context's deadline;
+//   - assemble runs once, globally — equivalent to the baseline's
+//     per-view-then-global elimination because containment is
+//     transitive and markRedundant's criterion is order-independent.
 //
-// The result's Union, Contributions and CRs are identical to
-// MCRMultiViewRef's (pinned by differential tests); only the PerView
-// counts differ in semantics, as documented on MultiViewResult.
+// Budget and deadline overruns degrade into a Partial result under the
+// same policy as MCR's (see assemble), including views the deadline
+// kept from running at all. The result's Union, Contributions and CRs
+// are identical to MCRMultiViewRef's (pinned by differential tests);
+// only the PerView counts differ in semantics, as documented on
+// MultiViewResult.
 func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewResult, error) {
-	limit := opts.MaxEmbeddings
-	if limit <= 0 {
-		limit = DefaultMaxEmbeddings
-	}
+	limit := opts.limit()
 	ctx := opts.ctx()
 	sp := obs.SpanFrom(ctx)
 
@@ -128,188 +126,107 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 	}
 	sp.Observe(obs.StageCatalogPrune, t)
 
-	// Per-view generation across a bounded worker pool. Each slot is
-	// written by exactly one worker; views are serial internally, so the
-	// per-view CR order is the serial enumeration order and the whole
-	// assembly below is deterministic.
-	slots := make([]viewCRs, len(views))
-	process := func(i int) {
-		vs := views[i]
-		if wildcardQ || vs.View.HasWildcard() {
-			slots[i].err = fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
-			return
+	// generate returns one view's distinct CRs. Views are serial
+	// internally, so the per-view CR order is the serial enumeration
+	// order and the whole assembly below is deterministic.
+	check := containedIn(q)
+	generate := func(i int) ([]*ContainedRewriting, PartialReason, error) {
+		v := views[i].View
+		if wildcardQ || v.HasWildcard() {
+			return nil, "", errWildcard
 		}
 		if err := faultWorker.Hit(ctx); err != nil {
-			slots[i].err = err
-			return
+			return nil, "", err
 		}
 		if !cand[i] {
 			if !emptyOK {
-				return // no nonempty embedding possible, no trivial CR
+				return nil, "", nil // no nonempty embedding possible, no trivial CR
 			}
 			// Trivial CR only: synthesized directly, no labeling pass.
-			cr, err := buildVerifyCR(ctx, sp, &Embedding{Q: q, V: vs.View}, vs.View, q)
+			cr, err := buildVerify(ctx, &Embedding{Q: q, V: v}, v, check)
 			if err != nil {
-				slots[i].err = err
-				return
+				return nil, "", err
 			}
-			slots[i].crs = []*ContainedRewriting{cr}
-			return
+			return []*ContainedRewriting{cr}, "", nil
 		}
 		tl := sp.Start()
-		labels := qs.LabelsFor(vs.View)
+		labels := qs.LabelsFor(v)
 		sp.Observe(obs.StageBatchChase, tl)
+		var crs []*ContainedRewriting
 		seen := make(map[string]bool)
 		te := sp.Start()
 		err := labels.Stream(ctx, limit, func(f *Embedding) error {
-			cr, err := buildVerifyCR(ctx, sp, f, vs.View, q)
+			cr, err := buildVerify(ctx, f, v, check)
 			if err != nil {
 				return err
 			}
-			key := cr.Rewriting.Canonical()
-			if seen[key] {
-				return nil
+			if key := cr.Rewriting.Canonical(); !seen[key] {
+				seen[key] = true
+				crs = append(crs, cr)
 			}
-			seen[key] = true
-			slots[i].crs = append(slots[i].crs, cr)
 			return nil
 		})
 		sp.Observe(obs.StageEnumerate, te)
-		if err != nil {
-			if reason := partialReason(err); reason != "" {
-				// Sound prefix: every collected CR is verified contained
-				// in q, so keep it and mark the view partial, mirroring
-				// MCR's graceful degradation.
-				slots[i].partial = reason
-				return
-			}
-			slots[i].crs = nil
-			slots[i].err = err
+		// A budget or deadline overrun keeps the sound prefix.
+		reason := partialReason(err)
+		if err != nil && reason == "" {
+			return nil, "", err
 		}
+		return crs, reason, nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(views) {
-		workers = len(views)
-	}
-	if workers <= 1 {
-		for i := range views {
-			if ctx.Err() != nil {
-				break
-			}
-			process(i)
-		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			next atomic.Int64
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// A panic processing one view must fail that view's slot,
-				// not the process; buildVerifyCR recovers its own panics,
-				// so this guards only the loop itself.
-				defer guard.Rescue("rewrite.multiViewWorker", func(err error) {})
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(views) || ctx.Err() != nil {
-						return
-					}
-					process(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil && partialReason(err) == "" {
+	slots := make([]viewCRs, len(views))
+	err := parallelFor(ctx, len(views), 2, func(i int) error {
+		s := &slots[i]
+		s.crs, s.partial, s.err = generate(i)
+		return nil
+	})
+	// A deadline that kept views from running makes the union partial;
+	// anything else — a panic, client cancellation — fails the call.
+	reason := partialReason(err)
+	if err != nil && reason == "" {
 		return nil, err
 	}
 
-	// First failing view (in view order) wins, matching the flat scan.
+	// First failing view (in view order) wins, matching the flat scan,
+	// and so does the first partial view's reason. The global assembly
+	// dedups in (view, enumeration) order; owner carries each CR's view
+	// through it.
 	perView := make([]int, len(views))
+	var all []*ContainedRewriting
+	owner := make(map[*ContainedRewriting]int)
 	partial := PartialReason("")
-	for i := range views {
-		if err := slots[i].err; err != nil {
-			return nil, fmt.Errorf("rewrite: view %q: %w", views[i].Name, err)
+	for i, s := range slots {
+		if s.err != nil {
+			return nil, fmt.Errorf("rewrite: view %q: %w", views[i].Name, s.err)
 		}
-		if partial == "" && slots[i].partial != "" {
-			partial = slots[i].partial
+		if partial == "" {
+			partial = s.partial
 		}
-		perView[i] = len(slots[i].crs)
-	}
-
-	// Global assembly: dedup in (view, enumeration) order, smallest
-	// canonical first, one redundancy-elimination pass across all views.
-	type tagged struct {
-		cr   *ContainedRewriting
-		view int
-	}
-	seen := make(map[string]bool)
-	var uniq []tagged
-	for i := range views {
-		for _, cr := range slots[i].crs {
-			key := cr.Rewriting.Canonical()
-			if !seen[key] {
-				seen[key] = true
-				uniq = append(uniq, tagged{cr: cr, view: i})
-			}
+		perView[i] = len(s.crs)
+		for _, cr := range s.crs {
+			owner[cr] = i
+			all = append(all, cr)
 		}
 	}
-	sort.SliceStable(uniq, func(i, j int) bool {
-		si, sj := uniq[i].cr.Rewriting.Size(), uniq[j].cr.Rewriting.Size()
-		if si != sj {
-			return si < sj
-		}
-		return uniq[i].cr.Rewriting.Canonical() < uniq[j].cr.Rewriting.Canonical()
-	})
-	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
-		return tpq.Contained(uniq[i].cr.Rewriting, uniq[j].cr.Rewriting)
-	})
+	if partial == "" {
+		partial = reason
+	}
+	res, err := assemble(ctx, all, 0, tpq.Contained, partial)
 	if err != nil {
 		return nil, err
 	}
 	out := &MultiViewResult{
-		Union:         &tpq.Union{},
+		Union:         res.Union,
+		CRs:           res.CRs,
 		PerView:       perView,
 		Labeled:       labeled,
-		Partial:       partial != "",
-		PartialReason: partial,
+		Partial:       res.Partial,
+		PartialReason: res.PartialReason,
 	}
-	for i, t := range uniq {
-		if redundant[i] {
-			continue
-		}
-		out.Union.Patterns = append(out.Union.Patterns, t.cr.Rewriting)
-		out.CRs = append(out.CRs, t.cr)
-		out.Contributions = append(out.Contributions, t.view)
+	for _, cr := range res.CRs {
+		out.Contributions = append(out.Contributions, owner[cr])
 	}
 	return out, nil
-}
-
-// buildVerifyCR materializes and soundness-checks the CR induced by one
-// useful embedding — the batch pipeline's counterpart of generateCRs'
-// buildVerify closure, panic-isolated the same way.
-func buildVerifyCR(ctx context.Context, sp *obs.Span, f *Embedding, base, q *tpq.Pattern) (cr *ContainedRewriting, err error) {
-	defer guard.Recover(&err, "rewrite.buildVerifyCR")
-	if err := faultBuildCR.Hit(ctx); err != nil {
-		return nil, err
-	}
-	t := sp.Start()
-	cr, err = BuildCR(f, base)
-	sp.Observe(obs.StageBuildCR, t)
-	if err != nil {
-		return nil, fmt.Errorf("rewrite: embedding %s: %w", f, err)
-	}
-	t = sp.Start()
-	contained := cr.VerifyContained(q)
-	sp.Observe(obs.StageContain, t)
-	if !contained {
-		// Useful embeddings induce contained rewritings by
-		// construction; reaching this indicates a bug upstream.
-		return nil, fmt.Errorf("rewrite: internal error: CR %s not contained in %s (embedding %s)", cr.Rewriting, q, f)
-	}
-	return cr, nil
 }
 
 // AnswerMultiView answers the query against a document through the

@@ -84,28 +84,22 @@ func (sc *SchemaContext) graftCut(dVTag string) CutCheck {
 // intelligently chased view exists whose induced rewriting is
 // satisfiable w.r.t. the schema. Runs in polynomial time (Theorem 9).
 func (sc *SchemaContext) AnswerableWithSchema(q, v *tpq.Pattern) bool {
-	cr, err := sc.mcrSingle(nil, q, v)
+	cr, err := sc.mcrSingle(context.Background(), q, v)
 	return err == nil && cr != nil
 }
 
-// MCRWithSchema computes the maximal contained rewriting of q using v
-// under a schema without recursion or union types (Algorithm
+// MCRWithSchemaCtx computes the maximal contained rewriting of q using
+// v under a schema without recursion or union types (Algorithm
 // MCRGenSchema, Fig 13). By Theorems 8 and 9 the MCR, when it exists,
 // is a single tree pattern; the result union carries zero or one CR.
-// For recursive schemas use MCRRecursive.
-func (sc *SchemaContext) MCRWithSchema(q, v *tpq.Pattern) (*Result, error) {
-	return sc.MCRWithSchemaCtx(context.Background(), q, v)
-}
-
-// MCRWithSchemaCtx is MCRWithSchema with a context carrying stage
-// instrumentation (obs.WithSpan). The recursion-free pipeline is
-// polynomial, so the context is not consulted for cancellation — only
-// for its span.
+// For recursive schemas use MCRRecursive. The pipeline is polynomial,
+// so ctx is not polled for cancellation; it carries the stage span
+// (obs.WithSpan).
 func (sc *SchemaContext) MCRWithSchemaCtx(ctx context.Context, q, v *tpq.Pattern) (*Result, error) {
 	if sc.Schema.IsRecursive() {
 		return nil, fmt.Errorf("rewrite: schema is recursive; use MCRRecursive")
 	}
-	cr, err := sc.mcrSingle(obs.SpanFrom(ctx), q, v)
+	cr, err := sc.mcrSingle(ctx, q, v)
 	if err != nil {
 		return nil, err
 	}
@@ -119,51 +113,61 @@ func (sc *SchemaContext) MCRWithSchemaCtx(ctx context.Context, q, v *tpq.Pattern
 	}, nil
 }
 
-// mcrSingle runs the efficient single-embedding pipeline shared by the
-// existence test and MCR generation: chase the view, compute labels,
-// extract one maximal useful embedding greedily, build the CR against
-// the ORIGINAL view (the compensation runs on real materialized data;
-// schema-guaranteed nodes need not be re-checked, per Example 3), and
-// validate satisfiability and schema-relative containment. Returns
-// (nil, nil) when no MCR exists.
-func (sc *SchemaContext) mcrSingle(sp *obs.Span, q, v *tpq.Pattern) (*ContainedRewriting, error) {
-	if q.HasWildcard() || v.HasWildcard() {
-		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
+// sContainedIn is the schema check of Theorem 7: a CR that does not
+// totally embed into the schema graph is dropped, and every other CR
+// must be S-contained in q.
+func (sc *SchemaContext) sContainedIn(q *tpq.Pattern) crCheck {
+	return func(cr *ContainedRewriting) (bool, error) {
+		if !sc.Schema.Satisfiable(cr.Rewriting) {
+			return false, nil
+		}
+		if !sc.SContained(cr.Rewriting, q) {
+			return false, fmt.Errorf("rewrite: internal error: CR %s not S-contained in %s", cr.Rewriting, q)
+		}
+		return true, nil
 	}
+}
+
+// schemaLabels chases the view against q and labels q over the chased
+// view under the Definition 2 cut check. It reports false when the view
+// or the query can never produce answers on legal instances, which
+// admits no rewriting with a non-empty instance.
+func (sc *SchemaContext) schemaLabels(ctx context.Context, q, v *tpq.Pattern) (*Labeling, bool) {
 	if !sc.Schema.Satisfiable(v) || !sc.Schema.Satisfiable(q) {
-		// A view or query that can never produce answers on legal
-		// instances admits no rewriting with a non-empty instance.
-		return nil, nil
+		return nil, false
 	}
+	sp := obs.SpanFrom(ctx)
 	t := sp.Start()
 	vPrime := chase.Intelligent(v, q, sc.Sigma)
 	sp.Observe(obs.StageChase, t)
 	t = sp.Start()
 	labels := ComputeLabels(q, vPrime, sc.graftCut(vPrime.Output.Tag))
+	sp.Observe(obs.StageEnumerate, t)
+	return labels, true
+}
+
+// mcrSingle runs the efficient single-embedding pipeline shared by the
+// existence test and MCR generation: label q over the chased view,
+// extract one maximal useful embedding greedily, and build and check
+// its CR against the ORIGINAL view (the compensation runs on real
+// materialized data; schema-guaranteed nodes need not be re-checked,
+// per Example 3). Returns (nil, nil) when no MCR exists.
+func (sc *SchemaContext) mcrSingle(ctx context.Context, q, v *tpq.Pattern) (*ContainedRewriting, error) {
+	if q.HasWildcard() || v.HasWildcard() {
+		return nil, errWildcard
+	}
+	labels, ok := sc.schemaLabels(ctx, q, v)
+	if !ok {
+		return nil, nil
+	}
+	sp := obs.SpanFrom(ctx)
+	t := sp.Start()
 	f := labels.greedyMaximal()
 	sp.Observe(obs.StageEnumerate, t)
 	if f == nil {
 		return nil, nil
 	}
-	t = sp.Start()
-	cr, err := BuildCR(f, v)
-	sp.Observe(obs.StageBuildCR, t)
-	if err != nil {
-		return nil, err
-	}
-	t = sp.Start()
-	if !sc.Schema.Satisfiable(cr.Rewriting) {
-		// Theorem 7(ii): the rewriting must totally embed into the
-		// schema graph.
-		sp.Observe(obs.StageContain, t)
-		return nil, nil
-	}
-	ok := sc.SContained(cr.Rewriting, q)
-	sp.Observe(obs.StageContain, t)
-	if !ok {
-		return nil, fmt.Errorf("rewrite: internal error: CR %s not S-contained in %s", cr.Rewriting, q)
-	}
-	return cr, nil
+	return buildVerify(ctx, f, v, sc.sContainedIn(q))
 }
 
 // greedyMaximal extracts one useful embedding that maps a node whenever
@@ -214,141 +218,17 @@ func (l *Labeling) greedyMaximal() *Embedding {
 // MCRRecursive computes the maximal contained rewriting under a
 // possibly recursive schema (§5): unlike the recursion-free case the
 // MCR may be a union of exponentially many CRs, so all useful
-// embeddings into the chased view are enumerated (bounded by
-// opts.MaxEmbeddings), their CRs filtered by schema satisfiability and
-// schema-relative redundancy.
+// embeddings into the chased view are streamed through the shared
+// pipeline (bounded by opts.MaxEmbeddings), their CRs filtered by
+// schema satisfiability and schema-relative redundancy.
 func (sc *SchemaContext) MCRRecursive(q, v *tpq.Pattern, opts Options) (*Result, error) {
-	limit := opts.MaxEmbeddings
-	if limit <= 0 {
-		limit = DefaultMaxEmbeddings
+	if q.HasWildcard() || v.HasWildcard() {
+		return nil, errWildcard
 	}
 	ctx := opts.ctx()
-	if q.HasWildcard() || v.HasWildcard() {
-		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
-	}
-	if !sc.Schema.Satisfiable(v) || !sc.Schema.Satisfiable(q) {
+	labels, ok := sc.schemaLabels(ctx, q, v)
+	if !ok {
 		return &Result{Union: &tpq.Union{}}, nil
 	}
-	sp := obs.SpanFrom(ctx)
-	t := sp.Start()
-	vPrime := chase.Intelligent(v, q, sc.Sigma)
-	sp.Observe(obs.StageChase, t)
-	t = sp.Start()
-	labels := ComputeLabels(q, vPrime, sc.graftCut(vPrime.Output.Tag))
-	embeddings, err := labels.Enumerate(ctx, limit)
-	sp.Observe(obs.StageEnumerate, t)
-	// Budget/deadline overruns degrade gracefully: Enumerate returns the
-	// prefix produced before the wall, and each CR below is individually
-	// verified S-contained, so the partial union is sound.
-	reason := PartialReason("")
-	if err != nil {
-		if reason = partialReason(err); reason == "" {
-			return nil, err
-		}
-	}
-	var crs []*ContainedRewriting
-	considered := 0
-	for i, f := range embeddings {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				if r := partialReason(err); r != "" {
-					// Deadline fired mid-build: keep what is finished.
-					reason = r
-					break
-				}
-				return nil, err
-			}
-		}
-		t = sp.Start()
-		cr, err := BuildCR(f, v)
-		sp.Observe(obs.StageBuildCR, t)
-		if err != nil {
-			return nil, err
-		}
-		t = sp.Start()
-		sat := sc.Schema.Satisfiable(cr.Rewriting)
-		contained := sat && sc.SContained(cr.Rewriting, q)
-		sp.Observe(obs.StageContain, t)
-		considered++
-		if !sat {
-			continue
-		}
-		if !contained {
-			return nil, fmt.Errorf("rewrite: internal error: CR %s not S-contained in %s", cr.Rewriting, q)
-		}
-		crs = append(crs, cr)
-	}
-	if reason != "" {
-		return assembleSchemaPartial(crs, considered, reason), nil
-	}
-	res, err := sc.assembleSchemaResult(ctx, crs, len(embeddings))
-	if err != nil {
-		if r := partialReason(err); r != "" {
-			// Deadline inside schema-relative redundancy elimination.
-			return assembleSchemaPartial(crs, considered, r), nil
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// assembleSchemaPartial mirrors assemblePartial for the schema path:
-// structural dedup and deterministic order only, skipping the quadratic
-// S-containment matrix. Compensation extraction matches
-// assembleSchemaResult, which leaves it on demand.
-func assembleSchemaPartial(crs []*ContainedRewriting, considered int, reason PartialReason) *Result {
-	seen := make(map[string]bool, len(crs))
-	res := &Result{
-		Union:                &tpq.Union{},
-		EmbeddingsConsidered: considered,
-		Partial:              true,
-		PartialReason:        reason,
-	}
-	kept := make([]*ContainedRewriting, 0, len(crs))
-	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		kept = append(kept, cr)
-	}
-	sortCRs(kept)
-	for _, cr := range kept {
-		res.CRs = append(res.CRs, cr)
-		res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
-	}
-	return res
-}
-
-// assembleSchemaResult deduplicates and removes CRs that are S-contained
-// in another CR.
-func (sc *SchemaContext) assembleSchemaResult(ctx context.Context, crs []*ContainedRewriting, considered int) (*Result, error) {
-	seen := make(map[string]*ContainedRewriting)
-	var uniq []*ContainedRewriting
-	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] == nil {
-			seen[key] = cr
-			uniq = append(uniq, cr)
-		}
-	}
-	sortCRs(uniq)
-	sp := obs.SpanFrom(ctx)
-	t := sp.Start()
-	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
-		return sc.SContained(uniq[i].Rewriting, uniq[j].Rewriting)
-	})
-	sp.Observe(obs.StageContain, t)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Union: &tpq.Union{}, EmbeddingsConsidered: considered}
-	for i, cr := range uniq {
-		if !redundant[i] {
-			res.CRs = append(res.CRs, cr)
-			res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
-		}
-	}
-	return res, nil
+	return mcrPipeline(ctx, labels, v, sc.sContainedIn(q), sc.SContained, opts.limit())
 }

@@ -23,7 +23,7 @@ func TestFigure2MCRGenSchema(t *testing.T) {
 	if !sc.AnswerableWithSchema(q, v) {
 		t.Fatal("Q must be answerable using V under the auction schema")
 	}
-	res, err := sc.MCRWithSchema(q, v)
+	res, err := sc.MCRWithSchemaCtx(context.Background(), q, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFigure2OnInstances(t *testing.T) {
 	sc := NewSchemaContext(g)
 	q := tpq.MustParse("//Auction[//item]//name")
 	v := tpq.MustParse("//Auction//person")
-	res, err := sc.MCRWithSchema(q, v)
+	res, err := sc.MCRWithSchemaCtx(context.Background(), q, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ person ->
 	item.AddChild(tpq.Child, "name")
 	q.Output = b2
 
-	res, err := sc.MCRWithSchema(q, v)
+	res, err := sc.MCRWithSchemaCtx(context.Background(), q, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestQuickSchemaSingleCRMaximal(t *testing.T) {
 		sc := NewSchemaContext(g)
 		q := workload.RandomSchemaPattern(rng, g, 4)
 		v := workload.RandomSchemaPattern(rng, g, 4)
-		single, err := sc.MCRWithSchema(q, v)
+		single, err := sc.MCRWithSchemaCtx(context.Background(), q, v)
 		if err != nil {
 			t.Logf("seed %d: %v (q=%s v=%s schema=\n%s)", seed, err, q, v, g)
 			return false
@@ -291,7 +291,7 @@ func TestQuickSchemaMCRSoundOnInstances(t *testing.T) {
 		sc := NewSchemaContext(g)
 		q := workload.RandomSchemaPattern(rng, g, 4)
 		v := workload.RandomSchemaPattern(rng, g, 4)
-		res, err := sc.MCRWithSchema(q, v)
+		res, err := sc.MCRWithSchemaCtx(context.Background(), q, v)
 		if err != nil || res.Union.Empty() {
 			return true
 		}

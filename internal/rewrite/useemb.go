@@ -361,16 +361,3 @@ func (l *Labeling) Stream(ctx context.Context, limit int, emit func(*Embedding) 
 	}
 	return nil
 }
-
-// Enumerate collects every useful embedding from Stream into a slice.
-// Prefer Stream in pipelines that can process embeddings incrementally.
-// On error the embeddings enumerated so far are returned alongside it,
-// so budget/deadline overruns can degrade into a sound partial result.
-func (l *Labeling) Enumerate(ctx context.Context, limit int) ([]*Embedding, error) {
-	var out []*Embedding
-	err := l.Stream(ctx, limit, func(e *Embedding) error {
-		out = append(out, e)
-		return nil
-	})
-	return out, err
-}

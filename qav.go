@@ -184,7 +184,7 @@ func (r *SchemaRewriter) Answerable(q, v *Pattern) bool {
 // (Algorithm MCRGenSchema): at most one contained rewriting, in
 // polynomial time (Theorems 8 and 9).
 func (r *SchemaRewriter) Rewrite(q, v *Pattern) (*Result, error) {
-	return r.sc.MCRWithSchema(q, v)
+	return r.sc.MCRWithSchemaCtx(context.Background(), q, v)
 }
 
 // RewriteRecursive computes the MCR of q using v under a possibly

@@ -65,7 +65,7 @@ func TestSoakEndToEndPipeline(t *testing.T) {
 		sc := rewrite.NewSchemaContext(g)
 		q := workload.RandomSchemaPattern(rng, g, 6)
 		v := workload.RandomSchemaPattern(rng, g, 5)
-		res, err := sc.MCRWithSchema(q, v)
+		res, err := sc.MCRWithSchemaCtx(context.Background(), q, v)
 		if err != nil {
 			t.Fatalf("schema:\n%s\nq=%s v=%s: %v", g, q, v, err)
 		}
