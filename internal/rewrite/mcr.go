@@ -385,7 +385,7 @@ func generateCRs(ctx context.Context, labels *Labeling, base *tpq.Pattern, check
 // dedups structurally (the first occurrence wins) and orders the
 // survivors smallest-first, so that each equivalence class keeps its
 // most compact representative. A complete run (reason == "") then
-// drops every CR that contains reports contained in another. That
+// drops every CR that is, under contains, contained in another. That
 // quadratic matrix dominates exponential MCRs, so it is credited to
 // the contain stage and honors ctx: a deadline inside it degrades the
 // run into a deadline Partial.
