@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -239,4 +242,55 @@ func TestAnswerEmptyIsArray(t *testing.T) {
 		t.Fatalf("register: status %d: %s", rec.Code, rec.Body.String())
 	}
 	check("stored", `{"query":"`+query+`","viewName":"nostatus"}`)
+}
+
+// Every body qavd serves declares its length: a large answer, a JSON
+// document from writeJSON and an error from httpError all carry a
+// Content-Length equal to the bytes on the wire and none goes out
+// chunked, so the router in front can size its read buffer up front.
+func TestResponsesDeclareContentLength(t *testing.T) {
+	srv := httptest.NewServer(New())
+	defer srv.Close()
+	defer http.DefaultClient.CloseIdleConnections()
+	var doc strings.Builder
+	doc.WriteString("<PharmaLab><Trials>")
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&doc, "<Trial><Patient>p%d</Patient><Status/></Trial>", i)
+	}
+	doc.WriteString("</Trials></PharmaLab>")
+	register, _ := json.Marshal(map[string]string{"name": "big", "view": "//Trials//Trial", "document": doc.String()})
+	for _, c := range []struct {
+		method, path, body string
+		code               int
+	}{
+		{"POST", "/v1/views", string(register), http.StatusOK},
+		{"POST", "/v1/answer", `{"query":"//Trials//Trial/Patient","viewName":"big"}`, http.StatusOK},
+		{"GET", "/metrics", "", http.StatusOK},
+		{"GET", "/healthz", "", http.StatusOK},
+		{"POST", "/v1/rewrite", `{"query":`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.code {
+			t.Fatalf("%s %s: status %d, want %d: %s", c.method, c.path, resp.StatusCode, c.code, body)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s %s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				c.method, c.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if c.path == "/v1/answer" && len(body) < 16<<10 {
+			t.Errorf("answer body is %d bytes; the test wants one far past net/http's chunking threshold", len(body))
+		}
+	}
 }
